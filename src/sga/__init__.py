@@ -27,7 +27,6 @@ from .relation import (
     build_label_vocab,
     encode_distinct_batch,
     encode_path,
-    split_directional,
 )
 from .serialize import load_parameters, save_parameters
 from .syntax_graph import (
@@ -87,7 +86,6 @@ __all__ = [
     "save_parameters",
     "shortest_relation_path",
     "softmax",
-    "split_directional",
     "syntax_score",
     "syntax_score_terms",
 ]

@@ -198,11 +198,6 @@ def div_scalar(t: Tensor, c: float) -> Tensor:
     return Tensor._result(t.data / c, (t,), lambda g: (g / c,))
 
 
-def add_scalar(t: Tensor, c: float) -> Tensor:
-    t = lift(t)
-    return Tensor._result(t.data + c, (t,), lambda g: (g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product following numpy semantics for the shapes used here.
 

@@ -18,37 +18,22 @@ from . import __version__
 from .autodiff import Parameter
 from .config import PipelineConfig, load_config, resolve_seed
 from .conllu import read_conllu
-from .errors import (
-    ConfigError,
-    CoverageError,
-    NumericError,
-    ParseError,
-    ShapeError,
-    StructureError,
-    VocabError,
-)
+from .errors import NumericError
 from .pipeline import Model
 from .serialize import load_into, save_parameters
 from .syntax_graph import (
     all_pairs_paths,
     build_syntax_graph,
+    distinct_paths,
     graph_to_dot,
     graph_to_json,
 )
 from .training import toy_train, write_loss_curve
 from .verify import SUITES, run_suites
 
-USAGE_ERRORS = (
-    ValueError,
-    ParseError,
-    StructureError,
-    ConfigError,
-    ShapeError,
-    VocabError,
-    CoverageError,
-    NumericError,
-    OSError,
-)
+# Every parse, structure, config, shape, vocabulary and coverage error is a
+# ValueError subclass.
+USAGE_ERRORS = (ValueError, NumericError, OSError)
 
 
 def _read_trees(path: str):
@@ -171,8 +156,13 @@ def cmd_encode(args) -> int:
         # The relation dump is skipped in the two reference modes so that
         # --zero-relations and --baseline write byte-identical directories.
         if not args.baseline and not args.zero_relations:
-            relations = model.encode_relations(sentence)
-            payload = relations.to_json_dict(labels=sentence.chars)
+            unique, table = distinct_paths(sentence.char_map)
+            payload = {
+                "n": sentence.char_map.m,
+                "paths": [list(path.key) for path in unique],
+                "pair_index": table.tolist(),
+                "chars": list(sentence.chars),
+            }
             (out_dir / f"relations_s{idx:04d}.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )

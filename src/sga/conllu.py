@@ -41,12 +41,6 @@ class DependencyTree:
     def form(self, index: int) -> str:
         return self.forms[index - 1]
 
-    def head_of(self, index: int) -> Optional[Edge]:
-        for edge in self.edges:
-            if edge.dependent == index:
-                return edge
-        return None
-
 
 @dataclass(frozen=True)
 class CharAlignment:

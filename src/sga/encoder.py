@@ -5,12 +5,15 @@ biases to the content vectors before the query/key projections:
 
     s_ij = (x_i + fwd_ij) Wq^T Wk (x_j + bwd_ij)
 
-which expands into four addressing terms -- pure content, a forward
-relation bias, a backward relation bias, and a relation-only term --
-exposed separately by `syntax_score_terms` for diagnostics. With zero
-relation biases the score reduces exactly to the plain dot-product
-attention, and the whole encoder reduces to a plain transformer encoder;
-`baseline_forward` runs that reference path on the same parameters.
+where [fwd_ij; bwd_ij] = W_r r_ij splits the projected relation encoding of
+the pair's path. The score expands into four addressing terms -- pure
+content, a forward relation bias, a backward relation bias, and a
+relation-only term -- stated per pair by `syntax_score_terms`. The layer
+computes the same four terms for all pairs at once, the relation terms once
+per distinct path, and gathers them per pair. With zero relation encodings
+the score reduces exactly to the plain dot-product attention, and the whole
+encoder reduces to a plain transformer encoder; `baseline_forward` runs that
+reference path on the same parameters.
 
 Blocks are post-norm: sublayer, residual add, then normalization. Forward
 passes over frozen parameters are pure and may run concurrently across
@@ -38,6 +41,7 @@ from .autodiff import (
     mul,
     relu,
     reshape,
+    slice_last,
     softmax,
     sum_last,
     take_rows,
@@ -250,23 +254,36 @@ def attention_weights(scores, d: int):
 def _pair_scores(
     x: Tensor, relations: Optional[RelationTensor], head: AttentionHeadParams
 ) -> Tensor:
-    """All-pairs scores for one head as an (n, n) tensor.
+    """All-pairs scores for one head as an (n, n) tensor: the sum of the four
+    addressing terms of `syntax_score_terms`.
 
-    relations=None runs the content-only reference path; it feeds exact
-    zero biases through the identical code so the reduction to plain
-    attention is bit-for-bit.
+    Each relation term is computed once per distinct path and gathered per
+    pair through the pair table (Shaw et al. 2018, section 3.3), so no
+    operand is larger than (n, n) or (n, paths). relations=None returns the
+    content term alone; zero encodings add exact zeros to that same term.
     """
-    n, d_model = x.data.shape
+    queries = matmul(x, transpose(head.w_q))  # (n, d_head)
+    keys = matmul(x, transpose(head.w_k))
+    content = matmul(queries, transpose(keys))  # (n, n)
     if relations is None:
-        r_fwd = Tensor(np.zeros((n, n, d_model)))
-        r_bwd = Tensor(np.zeros((n, n, d_model)))
-    else:
-        r_fwd, r_bwd = relations.directional(head.w_r)
-    rows = reshape(x, (n, 1, d_model))
-    cols = reshape(x, (1, n, d_model))
-    queries = matmul(add(rows, r_fwd), transpose(head.w_q))  # (n, n, d_head)
-    keys = matmul(add(cols, r_bwd), transpose(head.w_k))
-    return sum_last(mul(queries, keys))
+        return content
+    n, d_model = x.data.shape
+    paths = relations.encodings.data.shape[0]
+    projected = matmul(relations.encodings, transpose(head.w_r))  # (paths, 2 d_model)
+    rel_queries = matmul(slice_last(projected, 0, d_model), transpose(head.w_q))
+    rel_keys = matmul(slice_last(projected, d_model, 2 * d_model), transpose(head.w_k))
+    u = relations.pair_index
+    # Flat offsets into the (n, paths) products: row i or column j, path u_ij.
+    fwd = take_rows(
+        reshape(matmul(queries, transpose(rel_keys)), (n * paths,)),
+        np.arange(n)[:, None] * paths + u,
+    )
+    bwd = take_rows(
+        reshape(matmul(keys, transpose(rel_queries)), (n * paths,)),
+        np.arange(n)[None, :] * paths + u,
+    )
+    relation_only = take_rows(sum_last(mul(rel_queries, rel_keys)), u)
+    return add(add(add(content, fwd), bwd), relation_only)
 
 
 def _check_relations(relations: RelationTensor, n: int) -> None:

@@ -4,8 +4,8 @@ Each directed edge label is embedded, the embedded sequence is run through
 a forward GRU (left to right) and a backward GRU (right to left), both from
 zero initial states, and the two final states are concatenated into the
 relation encoding of the pair. Encodings depend only on the label sequence,
-so a batch encodes each distinct path once and scatters the results back to
-the character-pair grid.
+so a batch encodes each distinct path once; a pair table sends every ordered
+character pair to the row of its path.
 
 Encoding is pure given frozen parameters; parameter updates are
 single-writer.
@@ -23,12 +23,8 @@ from .autodiff import (
     Tensor,
     concat_last,
     glorot_uniform,
-    lift,
-    matmul,
-    slice_last,
     stack_rows,
     take_rows,
-    transpose,
 )
 from .errors import ShapeError
 from .gru import GruCellParams, gru_cell_forward
@@ -152,34 +148,13 @@ def encode_distinct_batch(
     return [encode_path(path, params, vocab) for path in paths]
 
 
-def split_directional(r_ij, w_r) -> tuple[Tensor, Tensor]:
-    """Project a relation encoding and split it into its forward and
-    backward halves: y = W_r r, forward = first half, backward = second."""
-    w_r = lift(w_r)
-    r_ij = lift(r_ij)
-    if w_r.data.ndim != 2 or r_ij.data.ndim != 1:
-        raise ShapeError(
-            f"split expects a matrix and a vector, got {w_r.shape} and {r_ij.shape}"
-        )
-    if w_r.data.shape[1] != r_ij.data.shape[0]:
-        raise ShapeError(
-            f"cannot split: matrix {w_r.shape} against encoding {r_ij.shape}"
-        )
-    if w_r.data.shape[0] % 2 != 0:
-        raise ShapeError(f"split matrix must have even output size, got {w_r.shape}")
-    y = matmul(w_r, r_ij)
-    half = w_r.data.shape[0] // 2
-    return slice_last(y, 0, half), slice_last(y, half, 2 * half)
-
-
 @dataclass
 class RelationTensor:
     """Relation encodings for every ordered character pair of a sentence.
 
     Stored in deduplicated form: one encoding row per distinct path plus an
-    n x n table sending each ordered pair to its row. `directional` applies
-    a split matrix and materializes the per-pair forward/backward bias
-    grids the attention layer consumes.
+    n x n table sending each ordered pair to its row. The attention layer
+    projects the rows once per head and gathers through the table.
     """
 
     n: int
@@ -225,34 +200,3 @@ class RelationTensor:
             pair_index=self.pair_index,
             paths=self.paths,
         )
-
-    def directional(self, w_r) -> tuple[Tensor, Tensor]:
-        """Per-pair forward and backward bias grids, each (n, n, half).
-
-        Applies the split matrix to the distinct encodings once and gathers
-        through the pair table.
-        """
-        w_r = lift(w_r)
-        out_dim = w_r.data.shape[0]
-        if out_dim % 2 != 0:
-            raise ShapeError(f"split matrix must have even output size, got {w_r.shape}")
-        if w_r.data.shape[1] != self.encodings.data.shape[1]:
-            raise ShapeError(
-                f"split matrix {w_r.shape} does not match encodings "
-                f"{self.encodings.shape}"
-            )
-        half = out_dim // 2
-        projected = matmul(self.encodings, transpose(w_r))  # (paths, 2 * half)
-        fwd = slice_last(projected, 0, half)
-        bwd = slice_last(projected, half, 2 * half)
-        return take_rows(fwd, self.pair_index), take_rows(bwd, self.pair_index)
-
-    def to_json_dict(self, labels: Sequence[str] | None = None) -> dict:
-        payload = {
-            "n": self.n,
-            "paths": [list(path.key) for path in self.paths],
-            "pair_index": self.pair_index.tolist(),
-        }
-        if labels is not None:
-            payload["chars"] = list(labels)
-        return payload

@@ -113,67 +113,47 @@ def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
     return SyntaxGraph(tree.n, edges)
 
 
-def shortest_relation_path(graph: SyntaxGraph, i: int, j: int) -> RelationPath:
-    """Breadth-first search over non-self edges; i == j yields the self-loop.
+def _paths_from(graph: SyntaxGraph, source: int) -> dict[int, RelationPath]:
+    """Shortest relation paths from `source` to every word it reaches, by one
+    breadth-first search over non-self edges; the source itself gets the
+    self-loop.
 
-    The underlying structure is a tree, so the result is the unique simple
+    The underlying structure is a tree, so each result is the unique simple
     path between the two words.
     """
+    labels: dict[int, tuple[DirectedLabel, ...]] = {source: ()}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for nxt, label in graph.neighbors(node):
+            if nxt not in labels:
+                labels[nxt] = labels[node] + (label,)
+                queue.append(nxt)
+    labels[source] = (SELF_LOOP,)
+    return {
+        target: RelationPath(labels=seq, source=source, target=target)
+        for target, seq in labels.items()
+    }
+
+
+def shortest_relation_path(graph: SyntaxGraph, i: int, j: int) -> RelationPath:
+    """The relation path from word i to word j; i == j yields the self-loop."""
     for node in (i, j):
         if not (1 <= node <= graph.n):
             raise ValueError(f"node {node} out of range 1..{graph.n}")
-    if i == j:
-        return RelationPath(labels=(SELF_LOOP,), source=i, target=j)
-    came_from: dict[int, tuple[int, DirectedLabel]] = {}
-    queue = deque([i])
-    seen = {i}
-    while queue:
-        node = queue.popleft()
-        if node == j:
-            break
-        for nxt, label in graph.neighbors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                came_from[nxt] = (node, label)
-                queue.append(nxt)
-    if j not in came_from:
+    path = _paths_from(graph, i).get(j)
+    if path is None:
         raise ValueError(f"no path from {i} to {j}")
-    labels: list[DirectedLabel] = []
-    node = j
-    while node != i:
-        prev, label = came_from[node]
-        labels.append(label)
-        node = prev
-    labels.reverse()
-    return RelationPath(labels=tuple(labels), source=i, target=j)
+    return path
 
 
 def all_pairs_paths(graph: SyntaxGraph) -> dict[tuple[int, int], RelationPath]:
-    """Shortest relation paths for every ordered word pair (one BFS per source)."""
+    """Shortest relation paths for every ordered word pair (one search per source)."""
     paths: dict[tuple[int, int], RelationPath] = {}
     for i in range(1, graph.n + 1):
-        came_from: dict[int, tuple[int, DirectedLabel]] = {}
-        queue = deque([i])
-        seen = {i}
-        while queue:
-            node = queue.popleft()
-            for nxt, label in graph.neighbors(node):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    came_from[nxt] = (node, label)
-                    queue.append(nxt)
+        reached = _paths_from(graph, i)
         for j in range(1, graph.n + 1):
-            if j == i:
-                paths[(i, j)] = RelationPath(labels=(SELF_LOOP,), source=i, target=j)
-                continue
-            labels: list[DirectedLabel] = []
-            node = j
-            while node != i:
-                prev, label = came_from[node]
-                labels.append(label)
-                node = prev
-            labels.reverse()
-            paths[(i, j)] = RelationPath(labels=tuple(labels), source=i, target=j)
+            paths[(i, j)] = reached[j]
     return paths
 
 

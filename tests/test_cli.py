@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from sga.cli import main
+from sga.pipeline import Model
 from sga.serialize import load_parameters
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -130,6 +131,21 @@ class TestEncodeCommand:
         assert ["self"] in payload["paths"]
         table = np.asarray(payload["pair_index"])
         assert table.shape == (payload["n"], payload["n"])
+
+    def test_relations_encoded_once_per_sentence(self, tmp_path, monkeypatch):
+        calls = []
+        encode = Model.encode_relations
+
+        def counted(model, sentence):
+            calls.append(sentence.chars)
+            return encode(model, sentence)
+
+        monkeypatch.setattr(Model, "encode_relations", counted)
+        out = tmp_path / "enc"
+        assert main(["encode", CORPUS, "--random-init", *TOY, "--out-dir", str(out)]) == 0
+        dumps = list(out.glob("relations_*.json"))
+        assert len(dumps) == 10
+        assert len(calls) == len(set(calls)) == len(dumps)
 
     def test_embeddings_have_expected_shape(self, tmp_path):
         out = tmp_path / "enc"

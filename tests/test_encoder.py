@@ -24,7 +24,7 @@ from sga.encoder import (
 )
 from sga.errors import CoverageError, ShapeError, VocabError
 from sga.pipeline import Model
-from sga.relation import split_directional
+from sga.verify import random_sentence_tree
 
 CHAIN = DependencyTree(
     ("a", "bc", "d"),
@@ -158,10 +158,15 @@ class TestGraphAttentionLayer:
         values = np.concatenate([h.w_v.data @ x[0] for h in block.heads])
         np.testing.assert_allclose(out.data[0], block.w_o.data @ values, atol=1e-12)
 
-    def test_triple_loop_oracle(self):
+    @pytest.mark.parametrize(
+        "tree",
+        [CHAIN] + [random_sentence_tree(np.random.default_rng(s)) for s in range(3)],
+        ids=["chain", "random0", "random1", "random2"],
+    )
+    def test_triple_loop_oracle(self, tree):
         """Vectorized layer vs an explicit per-pair, per-head recomputation."""
-        model = toy_model(seed=11)
-        sentence = model.prepare(CHAIN)
+        model = toy_model(seed=11, trees=(tree,))
+        sentence = model.prepare(tree)
         rel = model.encode_relations(sentence)
         block = model.stack.blocks[0]
         n, d_model = sentence.n_chars, 8
@@ -176,10 +181,9 @@ class TestGraphAttentionLayer:
             scores = np.zeros((n, n))
             for i in range(n):
                 for j in range(n):
-                    r = rel.encodings.data[rel.pair_index[i, j]]
-                    r_f, r_b = split_directional(Tensor(r), head.w_r)
+                    y = head.w_r.data @ rel.encodings.data[rel.pair_index[i, j]]
                     scores[i, j] = syntax_score(
-                        x[i], x[j], r_f.data, r_b.data, head
+                        x[i], x[j], y[:d_model], y[d_model:], head
                     )
             weights = np.zeros_like(scores)
             for i in range(n):
@@ -348,6 +352,21 @@ class TestEncoderForward:
         )
         out_perm = encoder_forward(sentence.char_ids[perm], permuted, model.stack)
         np.testing.assert_allclose(out_perm.data, out.data[perm], atol=1e-12)
+
+    def test_tape_holds_no_tensor_above_two_dims(self, flight_tree):
+        """Relation terms are gathered per pair from (n, paths) products; no
+        (n, n, d) bias grid is ever recorded, with relations or without."""
+        model = toy_model(seed=56, trees=(flight_tree,))
+        sentence = model.prepare(flight_tree)
+        for out in (model.forward(sentence), model.forward(sentence, baseline=True)):
+            seen, stack = {id(out)}, [out]
+            while stack:
+                node = stack.pop()
+                assert node.data.ndim <= 2, node.shape
+                for parent in node._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
 
     def test_row_stochastic_weights_on_fixture(self, flight_tree):
         model = toy_model(seed=55, trees=(flight_tree,))

@@ -1,13 +1,12 @@
-"""Label vocabulary, path encoding, dedup batching, and the directional split."""
+"""Label vocabulary, path encoding, and dedup batching."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sga.autodiff import Parameter, Tensor, mul, sum_all
+from sga.autodiff import Tensor, mul, sum_all
 from sga.conllu import DependencyTree, Edge, align_characters
-from sga.errors import ShapeError
 from sga.gradcheck import check_gradient
 from sga.relation import (
     LabelVocab,
@@ -16,7 +15,6 @@ from sga.relation import (
     build_label_vocab,
     encode_distinct_batch,
     encode_path,
-    split_directional,
 )
 from sga.syntax_graph import (
     Direction,
@@ -168,57 +166,7 @@ class TestDistinctBatch:
                 assert np.array_equal(naive.data, scattered[ci, cj])
 
 
-class TestSplitDirectional:
-    def test_zero_matrix(self):
-        fwd, bwd = split_directional(Tensor(np.ones(4)), Tensor(np.zeros((6, 4))))
-        assert np.array_equal(fwd.data, np.zeros(3))
-        assert np.array_equal(bwd.data, np.zeros(3))
-
-    def test_identity_square_case(self):
-        r = np.arange(4, dtype=float)
-        fwd, bwd = split_directional(Tensor(r), Tensor(np.eye(4)))
-        assert np.array_equal(fwd.data, r[:2])
-        assert np.array_equal(bwd.data, r[2:])
-
-    def test_concat_recovers_projection(self):
-        rng = np.random.default_rng(4)
-        w_r = rng.standard_normal((8, 6))
-        r = rng.standard_normal(6)
-        fwd, bwd = split_directional(Tensor(r), Tensor(w_r))
-        assert np.array_equal(np.concatenate([fwd.data, bwd.data]), w_r @ r)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            split_directional(Tensor(np.ones(5)), Tensor(np.zeros((6, 4))))
-        with pytest.raises(ShapeError):
-            split_directional(Tensor(np.ones(4)), Tensor(np.zeros((5, 4))))
-
-
 class TestRelationTensor:
-    def test_directional_shapes_and_gather(self, flight_tree):
-        graph = build_syntax_graph(flight_tree)
-        cmap = expand_to_characters(graph, align_characters(flight_tree))
-        rng = np.random.default_rng(6)
-        params = RelationEncoderParams.create(16, 3, 4, rng)
-        vocab = build_label_vocab([graph])
-        rel = RelationTensor.from_char_map(cmap, params, vocab)
-        assert rel.is_complete
-        w_r = Parameter("w_r", rng.standard_normal((10, 8)))
-        fwd, bwd = rel.directional(w_r)
-        assert fwd.shape == (37, 37, 5)
-        assert bwd.shape == (37, 37, 5)
-        # The gather copies projected rows verbatim.
-        projected = rel.encodings.data @ w_r.data.T
-        row = rel.pair_index[0, 3]
-        assert np.array_equal(fwd.data[0, 3], projected[row, :5])
-        assert np.array_equal(bwd.data[0, 3], projected[row, 5:])
-        # And agrees with the per-vector split up to summation order.
-        direct_f, direct_b = split_directional(
-            Tensor(rel.encodings.data[row]), w_r
-        )
-        np.testing.assert_allclose(fwd.data[0, 3], direct_f.data, atol=1e-12)
-        np.testing.assert_allclose(bwd.data[0, 3], direct_b.data, atol=1e-12)
-
     def test_zeroed_keeps_structure(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
         cmap = expand_to_characters(graph, align_characters(flight_tree))
