@@ -60,7 +60,10 @@ def _coerce(field: dataclasses.Field, raw: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{field.name}: cannot parse boolean from {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{field.name}: cannot parse integer from {raw!r}") from None
 
 
 def load_config(path) -> PipelineConfig:
@@ -78,7 +81,10 @@ def load_config(path) -> PipelineConfig:
             key = key.strip()
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(fields[key], value.strip())
+            try:
+                values[key] = _coerce(fields[key], value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return PipelineConfig(**values)
 
 

@@ -4,8 +4,10 @@ Each directed edge label is embedded, the embedded sequence is run through
 a forward GRU (left to right) and a backward GRU (right to left), both from
 zero initial states, and the two final states are concatenated into the
 relation encoding of the pair. Encodings depend only on the label sequence,
-so a batch encodes each distinct path once; a pair table sends every ordered
-character pair to the row of its path.
+so a sentence encodes each distinct path once, and a pair table sends every
+ordered character pair to the row of its path. A forward state is one step
+from the state of the path's prefix, so each distinct prefix is stepped once
+by the forward GRU and each distinct suffix once by the backward GRU.
 
 Encoding is pure given frozen parameters; parameter updates are
 single-writer.
@@ -75,10 +77,6 @@ class LabelVocab:
         return sorted(self._index, key=self._index.get)
 
 
-def build_label_vocab(graphs: Sequence[SyntaxGraph]) -> LabelVocab:
-    return LabelVocab.build(graphs)
-
-
 @dataclass
 class RelationEncoderParams:
     """Edge-label embeddings plus the two path GRUs."""
@@ -108,44 +106,56 @@ class RelationEncoderParams:
             gru_bwd=GruCellParams.create(f"{prefix}.gru_bwd", d_e, d_h, rng),
         )
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.d_h
-
     def parameters(self) -> list[Parameter]:
         return [self.edge_embedding] + self.gru_fwd.parameters() + self.gru_bwd.parameters()
 
 
-def encode_path(
-    path: RelationPath, params: RelationEncoderParams, vocab: LabelVocab
-) -> Tensor:
-    """Relation encoding of one path: concat(final forward state, final
-    backward state), length 2 * d_h. Both GRUs start from zero states."""
-    if len(path.labels) == 0:
-        raise ValueError("cannot encode an empty path")
-    ids = [vocab.index_of(label) for label in path.labels]
-    steps = [take_rows(params.edge_embedding, np.int64(i)) for i in ids]
-    h = Tensor(np.zeros(params.d_h))
-    for x in steps:
-        h = gru_cell_forward(params.gru_fwd, h, x)
-    forward_final = h
-    h = Tensor(np.zeros(params.d_h))
-    for x in reversed(steps):
-        h = gru_cell_forward(params.gru_bwd, h, x)
-    backward_final = h
-    return concat_last([forward_final, backward_final])
-
-
-def encode_distinct_batch(
-    paths: Sequence[RelationPath], params: RelationEncoderParams, vocab: LabelVocab
+def _final_states(
+    cell: GruCellParams,
+    sequences: Sequence[tuple[int, ...]],
+    rows: dict[int, Tensor],
+    zero: Tensor,
 ) -> list[Tensor]:
-    """Encode a deduplicated path list, one encoding per distinct path.
+    """Final state of `cell` run over each label-id sequence from `zero`.
 
-    Scattering the results through a pair->path index table reproduces the
-    naive per-pair encoding bit for bit, since encodings depend only on the
-    label sequence.
+    A sequence's final state is one step from the state of the same sequence
+    minus its last label, so each distinct prefix is stepped exactly once.
+    States are keyed by (prefix key, label id) with the empty prefix at key
+    0; walking a sequence is one dict lookup per label.
     """
-    return [encode_path(path, params, vocab) for path in paths]
+    keys: dict[tuple[int, int], int] = {}
+    states = [zero]
+    finals = []
+    for seq in sequences:
+        key = 0
+        for label in seq:
+            child = keys.get((key, label))
+            if child is None:
+                child = keys[(key, label)] = len(states)
+                states.append(gru_cell_forward(cell, states[key], rows[label]))
+            key = child
+        finals.append(states[key])
+    return finals
+
+
+def encode_paths(
+    paths: Sequence[RelationPath], params: RelationEncoderParams, vocab: LabelVocab
+) -> Tensor:
+    """Relation encodings of `paths`, one row each: (len(paths), 2 * d_h).
+
+    Row u is concat(final forward state, final backward state) of path u,
+    both GRUs starting from zero states. The forward GRU steps each distinct
+    label prefix once and the backward GRU each distinct suffix once; every
+    row goes through the same ops as a lone left-to-right run of its path.
+    """
+    ids = [tuple(vocab.index_of(label) for label in path.labels) for path in paths]
+    if not all(ids):
+        raise ValueError("cannot encode an empty path")
+    rows = {i: take_rows(params.edge_embedding, np.int64(i)) for i in sorted(set().union(*ids))}
+    zero = Tensor(np.zeros(params.d_h))
+    forward = _final_states(params.gru_fwd, ids, rows, zero)
+    backward = _final_states(params.gru_bwd, [seq[::-1] for seq in ids], rows, zero)
+    return concat_last([stack_rows(forward), stack_rows(backward)])
 
 
 @dataclass
@@ -184,10 +194,9 @@ class RelationTensor:
         vocab: LabelVocab,
     ) -> "RelationTensor":
         unique, table = distinct_paths(cmap)
-        encoded = encode_distinct_batch(unique, params, vocab)
         return cls(
             n=cmap.m,
-            encodings=stack_rows(encoded),
+            encodings=encode_paths(unique, params, vocab),
             pair_index=table,
             paths=unique,
         )

@@ -25,7 +25,7 @@ from .encoder import (
 )
 from .gradcheck import check_gradient
 from .pipeline import Model
-from .relation import encode_path
+from .relation import encode_paths
 from .syntax_graph import (
     Direction,
     DirectedLabel,
@@ -339,8 +339,8 @@ def suite_gradcheck(seed: int = 0) -> SuiteResult:
             measured=report.max_rel_error,
             tolerance=1e-5,
             detail=(
-                "loss through embeddings, relation GRUs, directional split, "
-                f"attention and FFN; worst parameter {report.worst().name}"
+                "loss through embeddings, relation GRUs, attention and FFN; "
+                f"worst parameter {report.worst().name}"
             ),
         )
     )
@@ -364,9 +364,9 @@ def suite_dedup(seed: int = 0, sentences: int = 50) -> SuiteResult:
         for ci in range(sentence.n_chars):
             for cj in range(sentence.n_chars):
                 path = sentence.char_map.lookup(ci, cj)
-                naive = encode_path(path, model.relation, model.label_vocab)
+                naive = encode_paths([path], model.relation, model.label_vocab)
                 pairs_checked += 1
-                if not np.array_equal(naive.data, scattered[ci, cj]):
+                if not np.array_equal(naive.data[0], scattered[ci, cj]):
                     mismatches += 1
     result.checks.append(
         CheckResult(

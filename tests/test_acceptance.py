@@ -107,8 +107,8 @@ def test_criterion_5_end_to_end_gradient_check():
     ok = report_gc.max_rel_error <= 1e-5 and elapsed < 120.0
     assert report(
         5,
-        "analytic gradients through embeddings, relation GRUs, directional "
-        "split, attention and FFN match central differences within 1e-5",
+        "analytic gradients through embeddings, relation GRUs, attention "
+        "and FFN match central differences within 1e-5",
         ok,
         f"max rel err = {report_gc.max_rel_error:.3e}, {elapsed:.2f}s",
     )

@@ -49,9 +49,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 def test_load_config_rejects_bad_booleans(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("use_positions=maybe\n")
-    with pytest.raises(ValueError):
-        load_config(path)
+    for line, field in (("use_positions=maybe", "use_positions"), ("d_model=abc", "d_model")):
+        path.write_text(f"# comment\nheads=2\n{line}\n")
+        with pytest.raises(ValueError, match=rf"run\.cfg:3: {field}: cannot parse"):
+            load_config(path)
 
 
 def test_resolve_seed_precedence(monkeypatch):
