@@ -251,6 +251,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(np.ascontiguousarray(data), (a, b), vjp)
 
 
+def matmul_rows(a: Tensor, w: Tensor) -> Tensor:
+    """Rows of a (B, k) matrix times the transpose of a (m, k) matrix: (B, m).
+
+    Each row is its own (1, k) @ (k, m) product, so a row gets the same bits
+    whatever batch it sits in. Plain gemm blocks rows together, and a row's
+    rounding then depends on the batch size.
+    """
+    a, w = lift(a), lift(w)
+    A, W = a.data, w.data
+    if A.ndim != 2 or W.ndim != 2 or A.shape[1] != W.shape[1]:
+        raise ShapeError(f"cannot matmul_rows shapes {A.shape} and {W.shape}")
+    data = (A[:, None, :] @ W.T)[:, 0]
+    return Tensor._result(data, (a, w), lambda g: (g @ W, g.T @ A))
+
+
 def transpose(t: Tensor) -> Tensor:
     t = lift(t)
     if t.data.ndim != 2:
@@ -329,22 +344,6 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         return tuple(grads)
 
     return Tensor._result(data, tuple(parts), vjp)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix (one per row)."""
-    rows = [lift(r) for r in rows]
-    if not rows:
-        raise ValueError("stack_rows needs at least one tensor")
-    for r in rows:
-        if r.data.ndim != 1 or r.data.shape != rows[0].data.shape:
-            raise ShapeError("stack_rows expects 1-D tensors of equal length")
-    data = np.stack([r.data for r in rows], axis=0)
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(g[i]) for i in range(len(rows)))
-
-    return Tensor._result(data, tuple(rows), vjp)
 
 
 def slice_last(t: Tensor, start: int, stop: int) -> Tensor:

@@ -1,4 +1,4 @@
-"""Single GRU cell used by the relation-path encoder.
+"""The batched GRU cell used by the relation-path encoder.
 
 Gate convention: update gate z and reset gate r are sigmoid units, the
 candidate state applies r to the recurrent term, and the new state blends
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, add, glorot_uniform, lift, matmul, mul, sigmoid, tanh
+from .autodiff import Parameter, Tensor, add, glorot_uniform, lift, matmul_rows, mul, sigmoid, tanh
 from .errors import ShapeError
 
 
@@ -61,14 +61,6 @@ class GruCellParams:
             b_h=vec("b_h"),
         )
 
-    @classmethod
-    def zeros(cls, prefix: str, input_size: int, hidden_size: int) -> "GruCellParams":
-        rng = np.random.default_rng(0)
-        params = cls.create(prefix, input_size, hidden_size, rng)
-        for p in params.parameters():
-            p.assign(np.zeros_like(p.data))
-        return params
-
     def parameters(self) -> list[Parameter]:
         return [self.w_z, self.u_z, self.b_z,
                 self.w_r, self.u_r, self.b_r,
@@ -76,20 +68,22 @@ class GruCellParams:
 
 
 def gru_cell_forward(params: GruCellParams, h_prev, x) -> Tensor:
-    """One GRU step; differentiable through all nine weight tensors."""
+    """One GRU step for a batch of rows: (B, hidden) state, (B, input) input.
+
+    Every product is a `matmul_rows`, so a row's new state has the same bits
+    whatever batch it is stepped in. Differentiable through all nine weights.
+    """
     h_prev, x = lift(h_prev), lift(x)
-    if x.shape != (params.input_size,):
-        raise ShapeError(
-            f"GRU input has shape {x.shape}, expected ({params.input_size},)"
-        )
-    if h_prev.shape != (params.hidden_size,):
-        raise ShapeError(
-            f"GRU state has shape {h_prev.shape}, expected ({params.hidden_size},)"
-        )
-    z = sigmoid(add(add(matmul(params.w_z, x), matmul(params.u_z, h_prev)), params.b_z))
-    r = sigmoid(add(add(matmul(params.w_r, x), matmul(params.u_r, h_prev)), params.b_r))
-    candidate = tanh(
-        add(add(matmul(params.w_h, x), matmul(params.u_h, mul(r, h_prev))), params.b_h)
-    )
+    rows = x.shape[0] if x.data.ndim == 2 else -1
+    if x.shape != (rows, params.input_size) or h_prev.shape != (rows, params.hidden_size):
+        raise ShapeError(f"GRU input {x.shape} and state {h_prev.shape} do not fit "
+                         f"(B, {params.input_size}) and (B, {params.hidden_size})")
+
+    def gate(w, u, h, b):
+        return add(add(matmul_rows(x, w), matmul_rows(h, u)), b)
+
+    z = sigmoid(gate(params.w_z, params.u_z, h_prev, params.b_z))
+    r = sigmoid(gate(params.w_r, params.u_r, h_prev, params.b_r))
+    candidate = tanh(gate(params.w_h, params.u_h, mul(r, h_prev), params.b_h))
     one_minus_z = 1.0 - z
     return add(mul(one_minus_z, h_prev), mul(z, candidate))

@@ -7,7 +7,10 @@ relation encoding of the pair. Encodings depend only on the label sequence,
 so a sentence encodes each distinct path once, and a pair table sends every
 ordered character pair to the row of its path. A forward state is one step
 from the state of the path's prefix, so each distinct prefix is stepped once
-by the forward GRU and each distinct suffix once by the backward GRU.
+by the forward GRU and each distinct suffix once by the backward GRU, in one
+batched step per prefix depth. Batch invariance: a row's bits must not
+depend on the other paths in its call (the dedup check compares each row
+with a lone-path encoding), so the cell multiplies row by row, never by gemm.
 
 Encoding is pure given frozen parameters; parameter updates are
 single-writer.
@@ -25,8 +28,8 @@ from .autodiff import (
     Tensor,
     concat_last,
     glorot_uniform,
-    stack_rows,
     take_rows,
+    transpose,
 )
 from .errors import ShapeError
 from .gru import GruCellParams, gru_cell_forward
@@ -66,9 +69,6 @@ class LabelVocab:
 
     def __len__(self):
         return len(self._index)
-
-    def __contains__(self, key: str):
-        return key in self._index
 
     def index_of(self, label: DirectedLabel) -> int:
         return self._index.get(label.key, self._index[UNK_KEY])
@@ -111,31 +111,33 @@ class RelationEncoderParams:
 
 
 def _final_states(
-    cell: GruCellParams,
-    sequences: Sequence[tuple[int, ...]],
-    rows: dict[int, Tensor],
-    zero: Tensor,
-) -> list[Tensor]:
-    """Final state of `cell` run over each label-id sequence from `zero`.
+    cell: GruCellParams, sequences: Sequence[tuple[int, ...]], table: Tensor
+) -> Tensor:
+    """Final state of `cell` run over each label-id sequence from a zero state.
 
-    A sequence's final state is one step from the state of the same sequence
-    minus its last label, so each distinct prefix is stepped exactly once.
-    States are keyed by (prefix key, label id) with the empty prefix at key
-    0; walking a sequence is one dict lookup per label.
+    The distinct prefixes form a trie in which every depth-d node has its
+    parent at depth d - 1, so each depth is one batched step. Level d maps
+    (parent index at depth d - 1, label id) to the node's index at depth d;
+    the parent of depth 0 is the single zero row. Row u of the result is the
+    state of sequence u's node at depth len(u) - 1.
     """
-    keys: dict[tuple[int, int], int] = {}
-    states = [zero]
-    finals = []
+    levels: list[dict[tuple[int, int], int]] = [
+        {} for _ in range(max(map(len, sequences), default=0))
+    ]
+    ends = []
     for seq in sequences:
-        key = 0
-        for label in seq:
-            child = keys.get((key, label))
-            if child is None:
-                child = keys[(key, label)] = len(states)
-                states.append(gru_cell_forward(cell, states[key], rows[label]))
-            key = child
-        finals.append(states[key])
-    return finals
+        node = 0
+        for level, label in zip(levels, seq):
+            node = level.setdefault((node, label), len(level))
+        ends.append((len(seq) - 1, node))
+    state = Tensor(np.zeros((1, cell.hidden_size)))
+    columns = []
+    for level in levels:
+        parents, labels = np.array(list(level), dtype=np.int64).T
+        state = gru_cell_forward(cell, take_rows(state, parents), take_rows(table, labels))
+        columns.append(transpose(state))
+    offsets = np.cumsum([0] + [len(level) for level in levels])
+    return take_rows(transpose(concat_last(columns)), [offsets[d] + node for d, node in ends])
 
 
 def encode_paths(
@@ -145,17 +147,16 @@ def encode_paths(
 
     Row u is concat(final forward state, final backward state) of path u,
     both GRUs starting from zero states. The forward GRU steps each distinct
-    label prefix once and the backward GRU each distinct suffix once; every
-    row goes through the same ops as a lone left-to-right run of its path.
+    label prefix once and the backward GRU each distinct suffix once, one
+    batched step per depth. The cell's products are batch-invariant, so
+    every row has the same bits as a lone `encode_paths([path])`.
     """
     ids = [tuple(vocab.index_of(label) for label in path.labels) for path in paths]
     if not all(ids):
         raise ValueError("cannot encode an empty path")
-    rows = {i: take_rows(params.edge_embedding, np.int64(i)) for i in sorted(set().union(*ids))}
-    zero = Tensor(np.zeros(params.d_h))
-    forward = _final_states(params.gru_fwd, ids, rows, zero)
-    backward = _final_states(params.gru_bwd, [seq[::-1] for seq in ids], rows, zero)
-    return concat_last([stack_rows(forward), stack_rows(backward)])
+    forward = _final_states(params.gru_fwd, ids, params.edge_embedding)
+    backward = _final_states(params.gru_bwd, [seq[::-1] for seq in ids], params.edge_embedding)
+    return concat_last([forward, backward])
 
 
 @dataclass

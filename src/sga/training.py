@@ -10,6 +10,7 @@ audio or external data.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -140,6 +141,10 @@ def toy_train(
         raise ValueError("toy training needs a non-empty corpus")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    if warmup_steps is not None and warmup_steps < 1:
+        raise ValueError(f"warmup_steps must be at least 1, got {warmup_steps}")
     head = RegressionHead.create(
         model.config.d_model, target_dim, np.random.default_rng(model.config.seed + 1)
     )
@@ -164,7 +169,7 @@ def toy_train(
             step += 1
             rate = (
                 warmup_lr(step, model.config.d_model, warmup_steps)
-                if warmup_steps
+                if warmup_steps is not None
                 else None
             )
             optimizer.step(lr=rate)

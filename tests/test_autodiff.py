@@ -13,6 +13,7 @@ from sga.autodiff import (
     add,
     backward,
     matmul,
+    matmul_rows,
     mul,
     scale,
     softmax,
@@ -70,6 +71,30 @@ class TestMatmul:
         assert np.array_equal(mv.data, [3, 7])
         dot = matmul(Tensor([1, 2, 3]), Tensor([4, 5, 6]))
         assert dot.item() == 32.0
+
+
+class TestMatmulRows:
+    def test_equals_product_with_transpose(self):
+        rng = np.random.default_rng(1)
+        a, w = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+        np.testing.assert_allclose(matmul_rows(Tensor(a), Tensor(w)).data, a @ w.T, atol=1e-14)
+
+    def test_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) and \(2, 4\)"):
+            matmul_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+    def test_row_bits_do_not_depend_on_the_batch(self):
+        """Every row equals the same row computed alone and in a random
+        subset of the batch, bit for bit, for B = 1..64 at d = 200."""
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.standard_normal((200, 200)))
+        for b in range(1, 65):
+            a = rng.standard_normal((b, 200))
+            out = matmul_rows(Tensor(a), w).data
+            subset = rng.choice(b, size=int(rng.integers(1, b + 1)), replace=False)
+            assert np.array_equal(matmul_rows(Tensor(a[subset]), w).data, out[subset])
+            for i in range(b):
+                assert np.array_equal(matmul_rows(Tensor(a[i : i + 1]), w).data[0], out[i])
 
 
 class TestSoftmax:
@@ -214,7 +239,8 @@ class TestCheckGradient:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_composite_ops_match_differences(self, seed):
-        """Linear map, GRU step, and attention score all gradcheck <= 1e-5."""
+        """Linear map, row product, GRU step, and attention score all
+        gradcheck <= 1e-5."""
         from sga.encoder import AttentionHeadParams
         from sga.gru import GruCellParams, gru_cell_forward
 
@@ -226,9 +252,9 @@ class TestCheckGradient:
         assert report.max_rel_error <= 1e-5
 
         gru = GruCellParams.create("gru", 3, 2, rng)
-        h0 = Tensor(rng.standard_normal(2))
-        xs = Tensor(rng.standard_normal(3))
-        probe = Tensor(rng.standard_normal(2))
+        h0 = Tensor(rng.standard_normal((1, 2)))
+        xs = Tensor(rng.standard_normal((1, 3)))
+        probe = Tensor(rng.standard_normal((1, 2)))
         report = check_gradient(
             lambda: sum_all(mul(gru_cell_forward(gru, h0, xs), probe)),
             gru.parameters(),
@@ -246,6 +272,14 @@ class TestCheckGradient:
             return matmul(q, k)
 
         report = check_gradient(score, score_params)
+        assert report.max_rel_error <= 1e-5
+
+        rows = Parameter("rows.a", rng.standard_normal((3, 4)))
+        w_rows = Parameter("rows.w", rng.standard_normal((2, 4)))
+        probe = Tensor(rng.standard_normal((3, 2)))
+        report = check_gradient(
+            lambda: sum_all(mul(matmul_rows(rows, w_rows), probe)), [rows, w_rows]
+        )
         assert report.max_rel_error <= 1e-5
 
 

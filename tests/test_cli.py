@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sga.cli import main
 from sga.pipeline import Model
@@ -251,6 +252,20 @@ class TestToytrainCommand:
         big.write_text("\n".join(blob))
         assert main(["toytrain", str(big), "--epochs", "1"]) == 2
         assert "100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--warmup", "-5", "warmup_steps"),
+        ("--warmup", "0", "warmup_steps"),
+        ("--lr", "nan", "lr"),
+        ("--lr", "-1", "lr"),
+    ])
+    def test_bad_rate_or_warmup_exits_2(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "loss.csv"
+        argv = ["toytrain", CORPUS, "--epochs", "1", *TOY, flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfigHandling:

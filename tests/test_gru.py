@@ -1,4 +1,5 @@
-"""GRU cell: frozen examples, the state bound, and gradient agreement."""
+"""GRU cell on (1, d) rows: frozen examples, the state bound, and gradient
+agreement."""
 
 import math
 
@@ -11,18 +12,25 @@ from sga.gradcheck import check_gradient
 from sga.gru import GruCellParams, gru_cell_forward
 
 
+def zero_cell(input_size, hidden_size):
+    params = GruCellParams.create("g", input_size, hidden_size, np.random.default_rng(0))
+    for p in params.parameters():
+        p.assign(np.zeros_like(p.data))
+    return params
+
+
 def test_all_zero_params_halve_the_state():
     # sigmoid(0) = 0.5 and tanh(0) = 0, so the update keeps half of h_prev.
-    params = GruCellParams.zeros("g", input_size=3, hidden_size=4)
-    h = np.array([0.5, -1.0, 2.0, 0.0])
-    out = gru_cell_forward(params, Tensor(h), Tensor(np.ones(3)))
+    params = zero_cell(input_size=3, hidden_size=4)
+    h = np.array([[0.5, -1.0, 2.0, 0.0]])
+    out = gru_cell_forward(params, Tensor(h), Tensor(np.ones((1, 3))))
     assert np.array_equal(out.data, 0.5 * h)
 
 
 def test_scalar_cell_matches_hand_computation():
     """hidden_size = input_size = 1 with hand-picked weights, verified
     against an independent scalar evaluation of the gate equations."""
-    params = GruCellParams.zeros("g", input_size=1, hidden_size=1)
+    params = zero_cell(input_size=1, hidden_size=1)
     weights = dict(
         w_z=0.3, u_z=-0.2, b_z=0.1,
         w_r=0.5, u_r=0.4, b_r=-0.3,
@@ -40,16 +48,18 @@ def test_scalar_cell_matches_hand_computation():
     cand = math.tanh(weights["w_h"] * x + weights["u_h"] * (r * h_prev) + weights["b_h"])
     expected = (1.0 - z) * h_prev + z * cand
 
-    out = gru_cell_forward(params, Tensor([h_prev]), Tensor([x]))
-    assert out.data[0] == pytest.approx(expected, abs=1e-14)
+    out = gru_cell_forward(params, Tensor([[h_prev]]), Tensor([[x]]))
+    assert out.data[0, 0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_mismatched_input_raises_shape_error():
-    params = GruCellParams.zeros("g", input_size=3, hidden_size=2)
+    params = zero_cell(input_size=3, hidden_size=2)
     with pytest.raises(ShapeError):
-        gru_cell_forward(params, Tensor(np.zeros(2)), Tensor(np.zeros(4)))
+        gru_cell_forward(params, Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 4))))
     with pytest.raises(ShapeError):
-        gru_cell_forward(params, Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        gru_cell_forward(params, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
+    with pytest.raises(ShapeError):
+        gru_cell_forward(params, Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 3))))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -60,8 +70,8 @@ def test_state_bound(seed):
     params = GruCellParams.create("g", 4, 5, rng)
     for p in params.parameters():
         p.assign(rng.normal(scale=2.0, size=p.data.shape))
-    h_prev = rng.normal(scale=3.0, size=5)
-    x = rng.normal(scale=3.0, size=4)
+    h_prev = rng.normal(scale=3.0, size=(1, 5))
+    x = rng.normal(scale=3.0, size=(1, 4))
     out = gru_cell_forward(params, Tensor(h_prev), Tensor(x)).data
     bound = np.maximum(np.abs(h_prev), 1.0)
     assert np.all(np.abs(out) <= bound)
@@ -70,10 +80,10 @@ def test_state_bound(seed):
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
     params = GruCellParams.create("g", 3, 4, rng)
-    h0 = Tensor(rng.standard_normal(4))
-    x0 = Tensor(rng.standard_normal(3))
-    x1 = Tensor(rng.standard_normal(3))
-    probe = Tensor(rng.standard_normal(4))
+    h0 = Tensor(rng.standard_normal((1, 4)))
+    x0 = Tensor(rng.standard_normal((1, 3)))
+    x1 = Tensor(rng.standard_normal((1, 3)))
+    probe = Tensor(rng.standard_normal((1, 4)))
 
     def loss():
         h = gru_cell_forward(params, h0, x0)

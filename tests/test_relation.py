@@ -176,16 +176,18 @@ class TestEncodePath:
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_one_gru_step_per_distinct_prefix_and_suffix(self, seed, flight_tree, monkeypatch):
+        """Each direction makes one batched cell call per depth, and the
+        rows stepped are the distinct prefixes plus the distinct suffixes."""
         tree = flight_tree if seed is None else random_sentence_tree(
             np.random.default_rng(seed), max_words=8
         )
         model = Model.create(PipelineConfig.toy(seed=0), [tree])
         sentence = model.prepare(tree)
-        step, calls = relation.gru_cell_forward, []
+        step, batches = relation.gru_cell_forward, []
 
-        def counting(*args):
-            calls.append(None)
-            return step(*args)
+        def counting(cell, h_prev, x):
+            batches.append(x.shape[0])
+            return step(cell, h_prev, x)
 
         monkeypatch.setattr(relation, "gru_cell_forward", counting)
         rel = model.encode_relations(sentence)
@@ -193,8 +195,25 @@ class TestEncodePath:
         ids = [tuple(vocab.index_of(label) for label in p.labels) for p in rel.paths]
         prefixes = {seq[:k] for seq in ids for k in range(1, len(seq) + 1)}
         suffixes = {seq[k:] for seq in ids for k in range(len(seq))}
-        assert max(map(len, ids)) > 1
-        assert len(calls) == len(prefixes) + len(suffixes) == 2 * len(rel.paths)
+        longest = max(map(len, ids))
+        assert longest > 1
+        assert len(batches) == 2 * longest
+        assert batches[:longest] == [
+            sum(len(p) == depth for p in prefixes) for depth in range(1, longest + 1)
+        ]
+        assert sum(batches) == len(prefixes) + len(suffixes) == 2 * len(rel.paths)
+
+    def test_rows_equal_lone_path_encodings_bit_for_bit(self):
+        """At d_e = d_h = 200 a gemm over a level rounds a row differently
+        from the same row stepped alone; the row-by-row product must not."""
+        tree = random_sentence_tree(np.random.default_rng(4), max_words=12)
+        model = Model.create(PipelineConfig.toy(seed=0, d_e=200, d_h=200), [tree])
+        paths, _ = distinct_paths(model.prepare(tree).char_map)
+        assert len(paths) > 50
+        batch = encode_paths(paths, model.relation, model.label_vocab)
+        for row, path in zip(batch.data, paths):
+            alone = encode_paths([path], model.relation, model.label_vocab)
+            assert np.array_equal(alone.data[0], row)
 
 
 class TestDistinctBatch:
