@@ -56,10 +56,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
@@ -67,36 +63,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-    # Arithmetic sugar. Scalar operands are folded in as constants.
-    def __add__(self, other):
-        return add(self, lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, lift(other))
-
-    def __rsub__(self, other):
-        return sub(lift(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise ShapeError("tensor division is only supported by scalars")
-        return div_scalar(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, lift(other))
 
 
 class Parameter(Tensor):
@@ -228,14 +194,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def vjp(g):
             return np.outer(g, B), A.T @ g
-
-    elif A.ndim == 1 and B.ndim == 2:
-        if A.shape[0] != B.shape[0]:
-            raise bad()
-        data = A @ B
-
-        def vjp(g):
-            return B @ g, np.outer(A, g)
 
     elif A.ndim == 1 and B.ndim == 1:
         if A.shape[0] != B.shape[0]:

@@ -22,11 +22,11 @@ from .errors import NumericError
 from .pipeline import Model
 from .serialize import load_into, save_parameters
 from .syntax_graph import (
-    all_pairs_paths,
     build_syntax_graph,
     distinct_paths,
     graph_to_dot,
     graph_to_json,
+    path_table,
 )
 from .training import toy_train, write_loss_curve
 from .verify import SUITES, run_suites
@@ -102,14 +102,13 @@ def cmd_paths(args) -> int:
     trees = _read_trees(args.input)
     lines = ["sentence\tfrom\tto\tfrom_form\tto_form\tpath"]
     for idx, tree in enumerate(trees):
-        graph = build_syntax_graph(tree)
-        paths = all_pairs_paths(graph)
+        table = path_table(build_syntax_graph(tree))
+        keys = [" ".join(path.key) for path in table.paths()]
         for i in range(1, tree.n + 1):
             for j in range(1, tree.n + 1):
-                path = paths[(i, j)]
                 lines.append(
                     f"{idx}\t{i}\t{j}\t{tree.form(i)}\t{tree.form(j)}\t"
-                    + " ".join(path.key)
+                    + keys[table.word_pair[i - 1, j - 1]]
                 )
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -11,6 +11,7 @@ concurrently.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,10 +63,11 @@ class CharAlignment:
         )
 
 
-def _is_token_id(field: str) -> bool:
-    # Plain token ids are integers; ranges like 3-4 and empty nodes like
-    # 5.1 carry no tree structure of their own.
-    return field.isdigit()
+# ASCII digits only: str.isdigit and int() also take digits such as '²'.
+_TOKEN_ID = re.compile(r"[0-9]+")
+_HEAD = re.compile(r"-?[0-9]+")
+# Multiword-token ranges (3-4) and empty nodes (5.1) carry no tree structure.
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
 
 def _finish_sentence(rows, sent_index: int, first_line: int) -> DependencyTree:
@@ -111,8 +113,9 @@ def read_conllu(text: str) -> list[DependencyTree]:
     """Parse CoNLL-U text into one DependencyTree per sentence.
 
     Sentences are blank-line separated; comment lines start with '#'.
-    Token lines must carry 10 tab-separated columns with integer HEAD and
-    non-empty DEPREL. Errors name the offending line or sentence.
+    Token lines must carry 10 tab-separated columns with ASCII-integer ID and
+    HEAD and a non-empty DEPREL other than the reserved ``self``. Errors name
+    the offending line or sentence.
     """
     trees: list[DependencyTree] = []
     rows: list[tuple[int, str, int, str]] = []
@@ -143,16 +146,20 @@ def read_conllu(text: str) -> list[DependencyTree]:
                 f"expected 10 tab-separated columns, found {len(cols)}", line=lineno
             )
         token_id, form, head, deprel = cols[0], cols[1], cols[6], cols[7]
-        if not _is_token_id(token_id):
-            continue  # multiword range or empty node
+        if _SKIPPED_ID.fullmatch(token_id):
+            continue
+        if not _TOKEN_ID.fullmatch(token_id):
+            raise ParseError(f"ID is not an integer: {token_id!r}", line=lineno)
         if not rows:
             first_line = lineno
         if head in ("", "_"):
             raise ParseError("missing HEAD field", line=lineno)
-        if not head.lstrip("-").isdigit():
+        if not _HEAD.fullmatch(head):
             raise ParseError(f"HEAD is not an integer: {head!r}", line=lineno)
         if deprel in ("", "_"):
             raise ParseError("missing DEPREL field", line=lineno)
+        if deprel == "self":
+            raise ParseError("DEPREL 'self' is reserved for self-loops", line=lineno)
         if not form:
             raise ParseError("empty FORM field", line=lineno)
         rows.append((int(token_id), form, int(head), deprel))

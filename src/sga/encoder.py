@@ -36,7 +36,6 @@ from .autodiff import (
     div_scalar,
     glorot_uniform,
     layer_norm,
-    lift,
     matmul,
     mul,
     relu,
@@ -117,10 +116,6 @@ class EncoderBlockParams:
             norm2_gain=Parameter(f"{prefix}.norm2_gain", np.ones(d_model)),
             norm2_bias=Parameter(f"{prefix}.norm2_bias", np.zeros(d_model)),
         )
-
-    @property
-    def d_model(self) -> int:
-        return self.w_o.data.shape[0]
 
     def parameters(self) -> list[Parameter]:
         out: list[Parameter] = []
@@ -318,17 +313,6 @@ def _multi_head_attention(
                 )
             )
     return matmul(concat_last(head_outputs), transpose(block.w_o))
-
-
-def graph_attention_layer(
-    x, relations: RelationTensor, block: EncoderBlockParams
-) -> Tensor:
-    """One multi-head attention sublayer (no residual or normalization):
-    relation-biased scores, row-softmax weights, per-head values,
-    concatenation, output projection."""
-    x = lift(x)
-    _check_relations(relations, x.data.shape[0])
-    return _multi_head_attention(x, relations, block)
 
 
 def _block_forward(

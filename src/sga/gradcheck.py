@@ -40,18 +40,6 @@ class GradCheckReport:
     def worst(self) -> ParamCheck:
         return max(self.entries, key=lambda e: e.max_rel_error)
 
-    def passed(self, tolerance: float) -> bool:
-        return self.max_rel_error <= tolerance
-
-    def __str__(self):
-        lines = [f"gradient check (eps={self.eps:g})"]
-        for e in self.entries:
-            lines.append(
-                f"  {e.name}: max rel err {e.max_rel_error:.3e} at {e.worst_index} "
-                f"(analytic {e.analytic:.6e}, numeric {e.numeric:.6e})"
-            )
-        return "\n".join(lines)
-
 
 def _scalar_loss(value: Tensor, context: str) -> float:
     loss = float(np.asarray(value.data).reshape(()))

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, add, glorot_uniform, lift, matmul_rows, mul, sigmoid, tanh
+from .autodiff import (
+    Parameter, Tensor, add, glorot_uniform, lift, matmul_rows, mul, sigmoid, sub, tanh,
+)
 from .errors import ShapeError
 
 
@@ -85,5 +87,4 @@ def gru_cell_forward(params: GruCellParams, h_prev, x) -> Tensor:
     z = sigmoid(gate(params.w_z, params.u_z, h_prev, params.b_z))
     r = sigmoid(gate(params.w_r, params.u_r, h_prev, params.b_r))
     candidate = tanh(gate(params.w_h, params.u_h, mul(r, h_prev), params.b_h))
-    one_minus_z = 1.0 - z
-    return add(mul(one_minus_z, h_prev), mul(z, candidate))
+    return add(mul(sub(1.0, z), h_prev), mul(z, candidate))

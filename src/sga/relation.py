@@ -5,12 +5,16 @@ a forward GRU (left to right) and a backward GRU (right to left), both from
 zero initial states, and the two final states are concatenated into the
 relation encoding of the pair. Encodings depend only on the label sequence,
 so a sentence encodes each distinct path once, and a pair table sends every
-ordered character pair to the row of its path. A forward state is one step
-from the state of the path's prefix, so each distinct prefix is stepped once
-by the forward GRU and each distinct suffix once by the backward GRU, in one
-batched step per prefix depth. Batch invariance: a row's bits must not
-depend on the other paths in its call (the dedup check compares each row
-with a lone-path encoding), so the cell multiplies row by row, never by gemm.
+ordered character pair to the row of its path.
+
+The prefix and the suffix of a tree path are paths of the same sentence
+(see `syntax_graph.PathTable`), so the forward state of path u is one step
+from the forward state of its prefix, and its backward state one step from
+the backward state of its suffix. Each direction therefore steps every
+distinct path once, in one batched step per path length. Batch invariance:
+a row's bits must not depend on the other paths in its call (the dedup
+check compares each row with a lone-path encoding), so the cell multiplies
+row by row, never by gemm.
 
 Encoding is pure given frozen parameters; parameter updates are
 single-writer.
@@ -19,6 +23,7 @@ single-writer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,11 +36,11 @@ from .autodiff import (
     take_rows,
     transpose,
 )
-from .errors import ShapeError
 from .gru import GruCellParams, gru_cell_forward
 from .syntax_graph import (
     CharRelationMap,
     DirectedLabel,
+    PathTable,
     RelationPath,
     SyntaxGraph,
     distinct_paths,
@@ -111,51 +116,48 @@ class RelationEncoderParams:
 
 
 def _final_states(
-    cell: GruCellParams, sequences: Sequence[tuple[int, ...]], table: Tensor
+    cell: GruCellParams, parent: np.ndarray, label_ids: np.ndarray,
+    levels: list[np.ndarray], rank: np.ndarray, table: Tensor,
 ) -> Tensor:
-    """Final state of `cell` run over each label-id sequence from a zero state.
+    """Final state of `cell` run over every distinct path from a zero state.
 
-    The distinct prefixes form a trie in which every depth-d node has its
-    parent at depth d - 1, so each depth is one batched step. Level d maps
-    (parent index at depth d - 1, label id) to the node's index at depth d;
-    the parent of depth 0 is the single zero row. Row u of the result is the
-    state of sequence u's node at depth len(u) - 1.
+    Path u's state is one step from the state of path `parent[u]` on label
+    row `label_ids[u]`. `levels[d - 1]` lists the paths of length d, so each
+    length is one batched step on the states of the length before, and
+    `rank[u]` is path u's row once the levels are stacked (`rank[-1]` is 0:
+    parent -1 reads the one zero row).
     """
-    levels: list[dict[tuple[int, int], int]] = [
-        {} for _ in range(max(map(len, sequences), default=0))
-    ]
-    ends = []
-    for seq in sequences:
-        node = 0
-        for level, label in zip(levels, seq):
-            node = level.setdefault((node, label), len(level))
-        ends.append((len(seq) - 1, node))
     state = Tensor(np.zeros((1, cell.hidden_size)))
-    columns = []
+    columns, previous = [], 0
     for level in levels:
-        parents, labels = np.array(list(level), dtype=np.int64).T
-        state = gru_cell_forward(cell, take_rows(state, parents), take_rows(table, labels))
+        parents = take_rows(state, rank[parent[level]] - previous)
+        state = gru_cell_forward(cell, parents, take_rows(table, label_ids[level]))
         columns.append(transpose(state))
-    offsets = np.cumsum([0] + [len(level) for level in levels])
-    return take_rows(transpose(concat_last(columns)), [offsets[d] + node for d, node in ends])
+        previous = rank[level[0]]
+    return take_rows(transpose(concat_last(columns)), rank[:-1])
 
 
 def encode_paths(
-    paths: Sequence[RelationPath], params: RelationEncoderParams, vocab: LabelVocab
+    paths: PathTable, params: RelationEncoderParams, vocab: LabelVocab
 ) -> Tensor:
-    """Relation encodings of `paths`, one row each: (len(paths), 2 * d_h).
+    """Relation encodings of a sentence's distinct paths, one row per path
+    id: (len(paths), 2 * d_h).
 
     Row u is concat(final forward state, final backward state) of path u,
-    both GRUs starting from zero states. The forward GRU steps each distinct
-    label prefix once and the backward GRU each distinct suffix once, one
-    batched step per depth. The cell's products are batch-invariant, so
-    every row has the same bits as a lone `encode_paths([path])`.
+    both GRUs starting from zero states. The forward GRU steps u from its
+    prefix on its last label, the backward GRU from its suffix on its first
+    label. The cell's products are batch-invariant, so every row has the
+    same bits as the path stepped alone.
     """
-    ids = [tuple(vocab.index_of(label) for label in path.labels) for path in paths]
-    if not all(ids):
-        raise ValueError("cannot encode an empty path")
-    forward = _final_states(params.gru_fwd, ids, params.edge_embedding)
-    backward = _final_states(params.gru_bwd, [seq[::-1] for seq in ids], params.edge_embedding)
+    last = np.array([vocab.index_of(label) for label in paths.last], dtype=np.int64)
+    first = np.array([vocab.index_of(label) for label in paths.first], dtype=np.int64)
+    order = np.argsort(paths.length, kind="stable")
+    levels = np.split(order, np.cumsum(np.bincount(paths.length)[1:])[:-1])
+    rank = np.zeros(len(order) + 1, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    table = params.edge_embedding
+    forward = _final_states(params.gru_fwd, paths.prefix, last, levels, rank, table)
+    backward = _final_states(params.gru_bwd, paths.suffix, first, levels, rank, table)
     return concat_last([forward, backward])
 
 
@@ -168,17 +170,18 @@ class RelationTensor:
     projects the rows once per head and gathers through the table.
     """
 
-    n: int
     encodings: Tensor  # (num_paths, 2 * d_h)
     pair_index: np.ndarray  # (n, n) int64, row index per ordered pair
-    paths: list[RelationPath]
+    char_map: CharRelationMap
 
-    def __post_init__(self):
-        if self.pair_index.shape != (self.n, self.n):
-            raise ShapeError(
-                f"pair index has shape {self.pair_index.shape}, expected "
-                f"({self.n}, {self.n})"
-            )
+    @property
+    def n(self) -> int:
+        return self.pair_index.shape[0]
+
+    @cached_property
+    def paths(self) -> list[RelationPath]:
+        """The path of each encoding row, built on first read (dumps, checks)."""
+        return distinct_paths(self.char_map)[0]
 
     @property
     def is_complete(self) -> bool:
@@ -194,19 +197,16 @@ class RelationTensor:
         params: RelationEncoderParams,
         vocab: LabelVocab,
     ) -> "RelationTensor":
-        unique, table = distinct_paths(cmap)
         return cls(
-            n=cmap.m,
-            encodings=encode_paths(unique, params, vocab),
-            pair_index=table,
-            paths=unique,
+            encodings=encode_paths(cmap.table, params, vocab),
+            pair_index=cmap.pair_index(),
+            char_map=cmap,
         )
 
     def zeroed(self) -> "RelationTensor":
         """Same structure with all-zero encodings (relation signal off)."""
         return RelationTensor(
-            n=self.n,
             encodings=Tensor(np.zeros_like(self.encodings.data)),
             pair_index=self.pair_index,
-            paths=self.paths,
+            char_map=self.char_map,
         )

@@ -1,13 +1,20 @@
-"""Two-way, self-looped syntax graphs and shortest relation paths.
+"""Two-way, self-looped syntax graphs and the sentence's distinct relation paths.
 
 A dependency tree only connects a head to its dependents. The graph built
 here adds, for every tree edge with label L, a reverse edge carrying the
 distinct variant ``L:rev``, plus one ``self`` loop per word, so any ordered
 word pair is connected and the unique tree path between two words can be
-read off as a sequence of directed labels. Word-level paths are then
-expanded to all ordered character pairs of the rendered sentence:
-characters of one word share the word's self-loop path, characters of two
-different words share the path of their words.
+read off as a sequence of directed labels.
+
+In a tree, every prefix and every suffix of such a path is itself the path
+of another word pair of the same sentence: if path(i, j) ends with the edge
+k -> j its prefix is path(i, k), and if it starts with i -> h its suffix is
+path(h, j). So one breadth-first search per source word yields the distinct
+paths as integers -- last and first label, prefix id, suffix id, length --
+together with the word-pair table that sends each ordered pair to its path
+id. `RelationPath` objects are rebuilt from that table only on request.
+Characters of one word share the word's paths, so a character pair reads
+the path of its two words.
 
 Everything here is pure and immutable; safe for concurrent use.
 """
@@ -16,8 +23,8 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +51,7 @@ class DirectedLabel:
         if (self.direction is Direction.SELF) != (self.base == SELF_BASE):
             raise ValueError(f"the label {SELF_BASE!r} is reserved for self-loops")
 
-    @property
+    @cached_property
     def key(self) -> str:
         if self.direction is Direction.SELF:
             return SELF_BASE
@@ -62,11 +69,9 @@ SELF_LOOP = DirectedLabel(SELF_BASE, Direction.SELF)
 
 @dataclass(frozen=True)
 class RelationPath:
-    """Directed label sequence along the unique tree path from source to target."""
+    """Directed label sequence along the unique tree path between two words."""
 
     labels: tuple[DirectedLabel, ...]
-    source: int
-    target: int
 
     @property
     def key(self) -> tuple[str, ...]:
@@ -82,19 +87,17 @@ class SyntaxGraph:
     def __init__(self, n: int, edges: list[tuple[int, int, DirectedLabel]]):
         self.n = n
         self.edges = tuple(edges)
-        self._adjacency: dict[int, list[tuple[int, DirectedLabel]]] = {
+        # Non-self out-edges of each word: (neighbour, label).
+        self.neighbors: dict[int, list[tuple[int, DirectedLabel]]] = {
             i: [] for i in range(1, n + 1)
         }
         for u, v, label in self.edges:
             if label.direction is not Direction.SELF:
-                self._adjacency[u].append((v, label))
+                self.neighbors[u].append((v, label))
 
     @property
     def self_loop_count(self) -> int:
         return sum(1 for _, _, l in self.edges if l.direction is Direction.SELF)
-
-    def neighbors(self, node: int) -> list[tuple[int, DirectedLabel]]:
-        return self._adjacency[node]
 
 
 def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
@@ -113,27 +116,93 @@ def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
     return SyntaxGraph(tree.n, edges)
 
 
-def _paths_from(graph: SyntaxGraph, source: int) -> dict[int, RelationPath]:
-    """Shortest relation paths from `source` to every word it reaches, by one
-    breadth-first search over non-self edges; the source itself gets the
-    self-loop.
+@dataclass(frozen=True)
+class PathTable:
+    """The distinct relation paths of one sentence, as integers.
 
-    The underlying structure is a tree, so each result is the unique simple
-    path between the two words.
+    Path u ends with label `last[u]` and starts with `first[u]`; `prefix[u]`
+    is the id of u less its last label and `suffix[u]` the id of u less its
+    first label, -1 where that is empty. Ids run in first-occurrence order
+    over the word pairs, and `word_pair[i - 1, j - 1]` is the id of path(i, j).
     """
-    labels: dict[int, tuple[DirectedLabel, ...]] = {source: ()}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nxt, label in graph.neighbors(node):
-            if nxt not in labels:
-                labels[nxt] = labels[node] + (label,)
-                queue.append(nxt)
-    labels[source] = (SELF_LOOP,)
-    return {
-        target: RelationPath(labels=seq, source=source, target=target)
-        for target, seq in labels.items()
-    }
+
+    first: tuple[DirectedLabel, ...]
+    last: tuple[DirectedLabel, ...]
+    prefix: np.ndarray  # (U,) int64
+    suffix: np.ndarray  # (U,) int64
+    length: np.ndarray  # (U,) int64
+    word_pair: np.ndarray  # (W, W) int64
+
+    def __len__(self):
+        return len(self.last)
+
+    def labels(self, u: int) -> tuple[DirectedLabel, ...]:
+        out = []
+        while u >= 0:
+            out.append(self.last[u])
+            u = self.prefix[u]
+        return tuple(reversed(out))
+
+    def path(self, i: int, j: int) -> RelationPath:
+        return RelationPath(self.labels(self.word_pair[i - 1, j - 1]))
+
+    def paths(self) -> list[RelationPath]:
+        """Every distinct path, by id."""
+        return [RelationPath(self.labels(u)) for u in range(len(self))]
+
+
+def path_table(graph: SyntaxGraph) -> PathTable:
+    """The paths of all ordered word pairs, by one breadth-first search per
+    source word over the non-self edges; the source itself gets the self-loop.
+
+    A word reached through the edge k -> j gets the id of (id of the path
+    to k, label key), so each word pair costs one lookup and equal label
+    sequences get equal ids.
+    """
+    n = graph.n
+    label_of = {label.key: label for _, _, label in graph.edges}
+    ids: dict[tuple[int, str], int] = {}  # (prefix id, last label key) -> id
+    ends: list[tuple[int, int]] = []  # (first hop, target) where each id first appears
+    rows = []
+    for source in range(1, n + 1):
+        reached, queue = {source: (-1, 0)}, [source]  # word -> (path id, first hop)
+        for node in queue:
+            via, hop = reached[node]
+            for nxt, label in graph.neighbors[node]:
+                if nxt not in reached:
+                    reached[nxt] = (ids.setdefault((via, label.key), len(ids)), hop or nxt)
+                    queue.append(nxt)
+                    if len(ends) < len(ids):
+                        ends.append((hop or nxt, nxt))
+        if len(reached) < n:
+            missing = min(set(range(1, n + 1)) - set(reached))
+            raise ValueError(f"no path from {source} to {missing}")
+        reached[source] = (ids.setdefault((-1, SELF_BASE), len(ids)), 0)
+        if len(ends) < len(ids):
+            ends.append((0, source))
+        rows.append([reached[j][0] for j in range(1, n + 1)])
+    pair = np.array(rows, dtype=np.int64)
+    prefix = [p for p, _ in ids]
+    last = [label_of[key] for _, key in ids]
+    first, length = list(last), [1] * len(ids)
+    for u, p in enumerate(prefix):  # a prefix has a smaller id than its path
+        if p >= 0:
+            first[u], length[u] = first[p], length[p] + 1
+    length = np.asarray(length, dtype=np.int64)
+    hop, target = np.array(ends).T
+    suffix = np.where(length > 1, pair[hop - 1, target - 1], -1)
+    # Renumber in first-occurrence order over word pairs; -1 stays -1.
+    order = np.argsort(np.unique(pair, return_index=True)[1], kind="stable")
+    renumber = np.full(len(order) + 1, -1, dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    return PathTable(
+        first=tuple(first[u] for u in order),
+        last=tuple(last[u] for u in order),
+        prefix=renumber[np.asarray(prefix)[order]],
+        suffix=renumber[suffix[order]],
+        length=length[order],
+        word_pair=renumber[pair],
+    )
 
 
 def shortest_relation_path(graph: SyntaxGraph, i: int, j: int) -> RelationPath:
@@ -141,40 +210,29 @@ def shortest_relation_path(graph: SyntaxGraph, i: int, j: int) -> RelationPath:
     for node in (i, j):
         if not (1 <= node <= graph.n):
             raise ValueError(f"node {node} out of range 1..{graph.n}")
-    path = _paths_from(graph, i).get(j)
-    if path is None:
-        raise ValueError(f"no path from {i} to {j}")
-    return path
-
-
-def all_pairs_paths(graph: SyntaxGraph) -> dict[tuple[int, int], RelationPath]:
-    """Shortest relation paths for every ordered word pair (one search per source)."""
-    paths: dict[tuple[int, int], RelationPath] = {}
-    for i in range(1, graph.n + 1):
-        reached = _paths_from(graph, i)
-        for j in range(1, graph.n + 1):
-            paths[(i, j)] = reached[j]
-    return paths
+    return path_table(graph).path(i, j)
 
 
 @dataclass(frozen=True)
 class CharRelationMap:
-    """Relation paths for every ordered pair of non-separator characters.
-
-    Paths are stored once per word pair and shared by reference: the map
-    holds the word index of each character plus the n x n word-pair table.
-    """
+    """The sentence's path table plus the word index of each non-separator
+    character; a character pair reads the path of its word pair."""
 
     m: int
     word_of_char: tuple[int, ...]
-    word_paths: dict[tuple[int, int], RelationPath]
+    table: PathTable
 
     def lookup(self, char_i: int, char_j: int) -> RelationPath:
-        return self.word_paths[(self.word_of_char[char_i], self.word_of_char[char_j])]
+        return self.table.path(self.word_of_char[char_i], self.word_of_char[char_j])
+
+    def pair_index(self) -> np.ndarray:
+        """(m, m) int64: the path id of every ordered character pair."""
+        chars = np.asarray(self.word_of_char, dtype=np.int64) - 1
+        return self.table.word_pair[chars[:, None], chars[None, :]]
 
 
 def expand_to_characters(graph: SyntaxGraph, alignment: CharAlignment) -> CharRelationMap:
-    """Assign every ordered character pair the path of its word pair.
+    """Build the path table and map every character to its word.
 
     Separator characters are not attention nodes and are excluded. Raises
     if the alignment does not cover exactly the graph's words.
@@ -185,35 +243,14 @@ def expand_to_characters(graph: SyntaxGraph, alignment: CharAlignment) -> CharRe
         raise ValueError(
             f"alignment covers words {sorted(covered)}, graph has 1..{graph.n}"
         )
-    return CharRelationMap(
-        m=len(word_of_char),
-        word_of_char=word_of_char,
-        word_paths=all_pairs_paths(graph),
-    )
+    return CharRelationMap(len(word_of_char), word_of_char, path_table(graph))
 
 
 def distinct_paths(cmap: CharRelationMap) -> tuple[list[RelationPath], np.ndarray]:
-    """Deduplicate paths by label sequence.
-
-    Returns the unique paths (first-occurrence order over word pairs) and
-    an m x m table mapping each ordered character pair to its path index;
-    rebuilding the map through the table reproduces it exactly.
-    """
-    unique: list[RelationPath] = []
-    index_of: dict[tuple[str, ...], int] = {}
-    n = max(cmap.word_of_char) if cmap.word_of_char else 0
-    word_pair_idx = np.empty((n, n), dtype=np.int64)
-    for wi in range(1, n + 1):
-        for wj in range(1, n + 1):
-            path = cmap.word_paths[(wi, wj)]
-            key = path.key
-            if key not in index_of:
-                index_of[key] = len(unique)
-                unique.append(path)
-            word_pair_idx[wi - 1, wj - 1] = index_of[key]
-    chars = np.asarray(cmap.word_of_char, dtype=np.int64) - 1
-    table = word_pair_idx[chars[:, None], chars[None, :]]
-    return unique, table
+    """The distinct paths (first-occurrence order over word pairs) and the
+    m x m table mapping each ordered character pair to its path index;
+    rebuilding the map through the table reproduces it exactly."""
+    return cmap.table.paths(), cmap.pair_index()
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,24 @@ class TestEncodeCommand:
              "--out-dir", str(out)]
         ) == 0
 
+    @pytest.mark.parametrize(
+        "token_id, head, deprel",
+        [("2", "--0", "dep"), ("2", "\u00b2", "dep"), ("\u00b9", "1", "dep"), ("2", "1", "self")],
+        ids=["head-double-minus", "head-superscript", "id-superscript", "deprel-self"],
+    )
+    def test_malformed_token_line_names_its_line(self, tmp_path, capsys, token_id, head, deprel):
+        bad = tmp_path / "bad.conllu"
+        bad.write_text(
+            "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            f"{token_id}\tb\t_\t_\t_\t_\t{head}\t{deprel}\t_\t_\n",
+            encoding="utf-8",
+        )
+        code = main(["encode", str(bad), "--random-init", "--toy", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2:" in err
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_algebra_suite_passes(self, capsys):

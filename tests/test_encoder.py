@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sga.autodiff import Parameter, Tensor
+from sga.autodiff import Parameter, Tensor, lift
 from sga.config import PipelineConfig
 from sga.conllu import DependencyTree, Edge
 from sga.encoder import (
@@ -16,15 +16,24 @@ from sga.encoder import (
     baseline_forward,
     baseline_score,
     encoder_forward,
-    graph_attention_layer,
     position_signal,
     syntax_score,
     syntax_score_terms,
+    _check_relations,
+    _multi_head_attention,
     _pair_scores,
 )
 from sga.errors import CoverageError, ShapeError, VocabError
 from sga.pipeline import Model
 from sga.verify import random_sentence_tree
+
+def graph_attention_layer(x, relations, block):
+    """One multi-head attention sublayer as the encoder blocks run it (no
+    residual or normalization), with the blocks' coverage check."""
+    x = lift(x)
+    _check_relations(relations, x.data.shape[0])
+    return _multi_head_attention(x, relations, block)
+
 
 CHAIN = DependencyTree(
     ("a", "bc", "d"),

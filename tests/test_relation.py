@@ -1,11 +1,13 @@
 """Label vocabulary, path encoding, and dedup batching."""
 
 import math
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from sga import relation
+from sga import relation, syntax_graph
 from sga.autodiff import Tensor, mul, sum_all
 from sga.conllu import DependencyTree, Edge, align_characters
 from sga.config import PipelineConfig
@@ -20,26 +22,25 @@ from sga.relation import (
 from sga.syntax_graph import (
     Direction,
     DirectedLabel,
-    RelationPath,
     SELF_LOOP,
     build_syntax_graph,
     distinct_paths,
     expand_to_characters,
 )
-from sga.verify import random_sentence_tree
+from sga.verify import lca_walk_path, lone_path_encoding, random_sentence_tree, random_tree
 
 TWO_WORD = DependencyTree(("Dogs", "bark"), (Edge(2, 1, "nsubj"),), 2)
 
 
-def path_of(keys, source=1, target=2):
-    labels = []
-    for key in keys:
-        if key == "self":
-            labels.append(SELF_LOOP)
-        else:
-            base, _, direction = key.partition(":")
-            labels.append(DirectedLabel(base, Direction(direction)))
-    return RelationPath(tuple(labels), source, target)
+def chain(*labels):
+    """Words 1..k+1, each word the head of the next: path(1, k+1) is
+    labels[0]:fwd ... labels[-1]:fwd."""
+    edges = tuple(Edge(i, i + 1, label) for i, label in enumerate(labels, start=1))
+    return DependencyTree(tuple("abcdefgh"[: len(labels) + 1]), edges, 1)
+
+
+def char_map(tree):
+    return expand_to_characters(build_syntax_graph(tree), align_characters(tree))
 
 
 class TestLabelVocab:
@@ -90,20 +91,22 @@ def numpy_bigru(path_ids, params):
 class TestEncodePath:
     def test_zero_gru_params_give_zero_encoding(self):
         rng = np.random.default_rng(0)
-        params = RelationEncoderParams.create(4, d_e=3, d_h=5, rng=rng)
+        tree = chain("nsubj", "obj", "det")
+        cmap = char_map(tree)
+        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=5, rng=rng)
         for p in params.gru_fwd.parameters() + params.gru_bwd.parameters():
             p.assign(np.zeros_like(p.data))
-        vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
-        keys = (["self"], ["nsubj:fwd"], ["nsubj:rev", "nsubj:fwd", "self"])
-        out = encode_paths([path_of(k) for k in keys], params, vocab)
-        assert np.array_equal(out.data, np.zeros((3, 10)))
+        out = encode_paths(cmap.table, params, vocab)
+        assert max(cmap.table.length) == 3
+        assert np.array_equal(out.data, np.zeros((len(cmap.table), 10)))
 
     def test_scalar_oracle_for_length_one_path(self):
         """d_e = d_h = 1 with hand-picked weights; the single step has a
         zero previous state, so each direction reduces to z * tanh(w_h e + b_h)."""
-        params = RelationEncoderParams.create(3, d_e=1, d_h=1, rng=np.random.default_rng(0))
+        params = RelationEncoderParams.create(4, d_e=1, d_h=1, rng=np.random.default_rng(0))
         e = 0.8
-        params.edge_embedding.assign(np.full((3, 1), e))
+        params.edge_embedding.assign(np.full((4, 1), e))
         values = dict(w_z=0.3, b_z=0.1, w_h=0.7, b_h=0.2, w_r=0.5, b_r=-0.3,
                       u_z=-0.4, u_r=0.6, u_h=-0.5)
         for cell in (params.gru_fwd, params.gru_bwd):
@@ -117,62 +120,81 @@ class TestEncodePath:
         expected = z * math.tanh(values["w_h"] * e + values["b_h"])
 
         vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
-        out = encode_paths([path_of(["nsubj:fwd"])], params, vocab)
-        np.testing.assert_allclose(out.data, [[expected, expected]], atol=1e-14)
+        table = char_map(TWO_WORD).table
+        assert list(table.length) == [1, 1, 1]
+        out = encode_paths(table, params, vocab)
+        np.testing.assert_allclose(out.data, np.full((3, 2), expected), atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_order_sensitivity(self, seed):
         rng = np.random.default_rng(seed)
-        params = RelationEncoderParams.create(6, d_e=4, d_h=4, rng=rng)
-        vocab = LabelVocab(["a:fwd", "b:fwd"])
-        ab = encode_paths([path_of(["a:fwd", "b:fwd"])], params, vocab)
-        ba = encode_paths([path_of(["b:fwd", "a:fwd"])], params, vocab)
-        assert not np.allclose(ab.data, ba.data)
+        tree = chain("a", "b", "a")
+        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        params = RelationEncoderParams.create(len(vocab), d_e=4, d_h=4, rng=rng)
+        table = char_map(tree).table
+        out = encode_paths(table, params, vocab).data
+        ab, ba = table.path(1, 3), table.path(2, 4)
+        assert ab.key == ("a:fwd", "b:fwd") and ba.key == ("b:fwd", "a:fwd")
+        assert not np.allclose(out[table.word_pair[0, 2]], out[table.word_pair[1, 3]])
 
     def test_encoding_depends_only_on_label_sequence(self):
+        """The same label sequence at other word pairs of another sentence,
+        among other paths, gets the same bits."""
+        one = DependencyTree(("a", "b", "c"), (Edge(2, 1, "nsubj"), Edge(2, 3, "obj")), 2)
+        two = DependencyTree(
+            ("a", "b", "c", "d", "e"),
+            (Edge(4, 1, "det"), Edge(4, 2, "nsubj"), Edge(2, 3, "amod"), Edge(4, 5, "obj")),
+            4,
+        )
         rng = np.random.default_rng(5)
-        params = RelationEncoderParams.create(8, d_e=3, d_h=3, rng=rng)
-        vocab = LabelVocab(["nsubj:rev", "obj:fwd"])
-        one = path_of(["nsubj:rev", "obj:fwd"], source=1, target=4)
-        two = path_of(["nsubj:rev", "obj:fwd"], source=9, target=2)
-        alone = encode_paths([one], params, vocab)
-        both = encode_paths([one, two], params, vocab)
-        assert np.array_equal(both.data, np.vstack([alone.data, alone.data]))
+        vocab = LabelVocab.build([build_syntax_graph(one), build_syntax_graph(two)])
+        params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=3, rng=rng)
+        rows = []
+        for tree, (i, j) in ((one, (1, 3)), (two, (2, 5))):
+            table = char_map(tree).table
+            assert table.path(i, j).key == ("nsubj:rev", "obj:fwd")
+            rows.append(encode_paths(table, params, vocab).data[table.word_pair[i - 1, j - 1]])
+        assert np.array_equal(rows[0], rows[1])
 
     def test_empty_path_rejected(self):
         params = RelationEncoderParams.create(3, 2, 2, np.random.default_rng(0))
         vocab = LabelVocab([])
         with pytest.raises(ValueError, match="empty path"):
-            encode_paths([RelationPath((), 1, 1)], params, vocab)
+            lone_path_encoding((), params, vocab)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
-        params = RelationEncoderParams.create(5, d_e=3, d_h=3, rng=rng)
-        vocab = LabelVocab(["a:fwd", "b:rev"])
-        path = path_of(["a:fwd", "b:rev", "a:fwd"])
-        probe = Tensor(rng.standard_normal((1, 6)))
+        tree = DependencyTree(
+            ("a", "b", "c", "d"), (Edge(2, 1, "a"), Edge(2, 3, "b"), Edge(3, 4, "a")), 2
+        )
+        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=3, rng=rng)
+        table = char_map(tree).table
+        assert table.path(1, 4).key == ("a:rev", "b:fwd", "a:fwd")
+        probe = Tensor(rng.standard_normal((len(table), 6)))
         report = check_gradient(
-            lambda: sum_all(mul(encode_paths([path], params, vocab), probe)),
+            lambda: sum_all(mul(encode_paths(table, params, vocab), probe)),
             params.parameters(),
         )
         assert report.max_rel_error <= 1e-5
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_match_numpy_bigru(self, seed):
+        """Every word pair's row against a numpy bi-GRU over the labels of
+        the pair's lowest-common-ancestor walk."""
         rng = np.random.default_rng(seed)
-        keys = ["a:fwd", "a:rev", "b:fwd", "b:rev", "self"]
-        vocab = LabelVocab([k for k in keys if k != "self"])
+        tree = random_tree(rng, 10)
+        vocab = LabelVocab.build([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=4, rng=rng)
         for p in params.parameters():
             p.assign(rng.standard_normal(p.data.shape))
-        paths = [
-            path_of([keys[int(k)] for k in rng.integers(0, len(keys), size=rng.integers(1, 7))])
-            for _ in range(30)
-        ]
-        out = encode_paths(paths, params, vocab)
-        for row, path in zip(out.data, paths):
-            ids = [vocab.index_of(label) for label in path.labels]
-            np.testing.assert_allclose(row, numpy_bigru(ids, params), rtol=0, atol=1e-12)
+        table = char_map(tree).table
+        out = encode_paths(table, params, vocab)
+        for i in range(1, tree.n + 1):
+            for j in range(1, tree.n + 1):
+                ids = [vocab.index_of(label) for label in lca_walk_path(tree, i, j)]
+                row = out.data[table.word_pair[i - 1, j - 1]]
+                np.testing.assert_allclose(row, numpy_bigru(ids, params), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_one_gru_step_per_distinct_prefix_and_suffix(self, seed, flight_tree, monkeypatch):
@@ -210,9 +232,9 @@ class TestEncodePath:
         model = Model.create(PipelineConfig.toy(seed=0, d_e=200, d_h=200), [tree])
         paths, _ = distinct_paths(model.prepare(tree).char_map)
         assert len(paths) > 50
-        batch = encode_paths(paths, model.relation, model.label_vocab)
+        batch = model.encode_relations(model.prepare(tree)).encodings
         for row, path in zip(batch.data, paths):
-            alone = encode_paths([path], model.relation, model.label_vocab)
+            alone = lone_path_encoding(path.labels, model.relation, model.label_vocab)
             assert np.array_equal(alone.data[0], row)
 
 
@@ -225,7 +247,7 @@ class TestDistinctBatch:
         rng = np.random.default_rng(2)
         params = RelationEncoderParams.create(16, 3, 3, rng)
         vocab = LabelVocab.build([graph])
-        encoded = encode_paths(unique, params, vocab)
+        encoded = encode_paths(cmap.table, params, vocab)
         assert encoded.shape == (len(unique), 6)
 
     def test_scatter_equals_naive_per_pair(self, flight_tree):
@@ -238,11 +260,30 @@ class TestDistinctBatch:
         scattered = rel.encodings.data[rel.pair_index]
         for ci in range(0, cmap.m, 5):
             for cj in range(0, cmap.m, 7):
-                naive = encode_paths([cmap.lookup(ci, cj)], params, vocab)
+                naive = lone_path_encoding(cmap.lookup(ci, cj).labels, params, vocab)
                 assert np.array_equal(naive.data[0], scattered[ci, cj])
 
 
 class TestRelationTensor:
+    def test_forward_builds_no_path_objects_and_each_key_once(self, flight_tree, monkeypatch):
+        """Prepare and forward work on path ids: no RelationPath is built,
+        and each edge label's key string is made at most once."""
+        model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
+        built, keys = [], Counter()
+        make_key = DirectedLabel.key.func
+
+        def counting_key(label):
+            keys[id(label)] += 1
+            return make_key(label)
+
+        counted = cached_property(counting_key)
+        counted.__set_name__(DirectedLabel, "key")
+        monkeypatch.setattr(DirectedLabel, "key", counted)
+        monkeypatch.setattr(syntax_graph, "RelationPath", lambda *args: built.append(args))
+        model.forward(model.prepare(flight_tree))
+        assert built == []
+        assert keys and max(keys.values()) == 1
+
     def test_zeroed_keeps_structure(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
         cmap = expand_to_characters(graph, align_characters(flight_tree))

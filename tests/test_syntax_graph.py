@@ -17,9 +17,10 @@ from sga.syntax_graph import (
     expand_to_characters,
     graph_to_dot,
     graph_to_json,
+    path_table,
     shortest_relation_path,
 )
-from sga.verify import lca_walk, random_tree, tree_distance
+from sga.verify import lca_walk, lca_walk_path, random_tree, tree_distance
 
 TWO_WORD = DependencyTree(("Dogs", "bark"), (Edge(2, 1, "nsubj"),), 2)
 
@@ -82,6 +83,11 @@ class TestShortestPath:
         with pytest.raises(ValueError):
             shortest_relation_path(graph, 1, 3)
 
+    def test_disconnected_words_have_no_path(self):
+        graph = build_syntax_graph(DependencyTree(("a", "b"), (), 1))
+        with pytest.raises(ValueError, match="no path from 1 to 2"):
+            shortest_relation_path(graph, 1, 1)
+
 
 class TestPathProperties:
     @given(st.integers(min_value=0, max_value=10_000))
@@ -130,15 +136,17 @@ class TestCharacterExpansion:
         tree = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
         cmap = expand_to_characters(build_syntax_graph(tree), align_characters(tree))
         # chars: a(0) b(1) of word 1, c(2) of word 2
-        assert cmap.lookup(0, 2) is cmap.lookup(1, 2)
+        pairs = cmap.pair_index()
+        assert pairs[0, 2] == pairs[1, 2]
+        assert cmap.lookup(0, 2).labels == cmap.lookup(1, 2).labels
 
     def test_flight_fixture_counts(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
         cmap = expand_to_characters(graph, align_characters(flight_tree))
         assert cmap.m == 37
-        assert len(cmap.word_paths) == 64
-        pairs = cmap.m * cmap.m
-        assert pairs == 37 * 37
+        assert cmap.table.word_pair.shape == (8, 8)
+        assert np.all(cmap.table.word_pair >= 0)
+        assert cmap.pair_index().shape == (37, 37)
 
     def test_mismatched_alignment_rejected(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
@@ -158,10 +166,12 @@ class TestCharacterExpansion:
         by_word = {}
         for pos, word in enumerate(cmap.word_of_char):
             by_word.setdefault(word, []).append(pos)
+        pairs = cmap.pair_index()
         for positions in by_word.values():
             first = cmap.lookup(positions[0], target)
             for pos in positions[1:]:
-                assert cmap.lookup(pos, target) is first
+                assert pairs[pos, target] == pairs[positions[0], target]
+                assert cmap.lookup(pos, target) == first
 
 
 class TestDistinctPaths:
@@ -188,11 +198,49 @@ class TestDistinctPaths:
         )
         unique, table = distinct_paths(cmap)
         # Independent enumeration of distinct label sequences over word pairs.
-        expected = {tuple(p.key) for p in cmap.word_paths.values()}
+        def oracle(i, j):
+            return tuple(label.key for label in lca_walk_path(flight_tree, i, j))
+
+        words = range(1, flight_tree.n + 1)
+        expected = {oracle(i, j) for i in words for j in words}
         assert len(unique) == len(expected) <= 64
         for ci in range(cmap.m):
             for cj in range(cmap.m):
-                assert unique[table[ci, cj]].key == cmap.lookup(ci, cj).key
+                wi, wj = cmap.word_of_char[ci], cmap.word_of_char[cj]
+                assert unique[table[ci, cj]].key == oracle(wi, wj)
+                assert cmap.lookup(ci, cj).key == oracle(wi, wj)
+
+
+class TestPathTable:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_suffix_length_and_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, int(rng.integers(1, 13)))
+        table = path_table(build_syntax_graph(tree))
+        for u in range(len(table)):
+            labels = table.labels(u)
+            assert len(labels) == table.length[u]
+            assert labels[-1] == table.last[u] and labels[0] == table.first[u]
+            if table.prefix[u] < 0:
+                assert table.suffix[u] < 0 and table.length[u] == 1
+                continue
+            prefix, suffix = table.prefix[u], table.suffix[u]
+            assert table.labels(prefix) + (table.last[u],) == labels
+            assert (table.first[u],) + table.labels(suffix) == labels
+            assert table.length[u] == table.length[prefix] + 1 == table.length[suffix] + 1
+        keys = set()
+        for i in range(1, tree.n + 1):
+            for j in range(1, tree.n + 1):
+                path = table.path(i, j)
+                assert path.labels == tuple(lca_walk_path(tree, i, j))
+                keys.add(path.key)
+        assert len(keys) == len(table)
+
+    def test_ids_in_first_occurrence_order(self, flight_tree):
+        pair = path_table(build_syntax_graph(flight_tree)).word_pair.ravel()
+        firsts = [int(np.flatnonzero(pair == u)[0]) for u in range(pair.max() + 1)]
+        assert firsts == sorted(firsts)
 
 
 class TestExports:
