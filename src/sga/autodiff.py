@@ -33,9 +33,9 @@ class Tensor:
 
     __slots__ = ("data", "_parents", "_vjp", "_done")
 
-    def __init__(self, values, validate: bool = True):
+    def __init__(self, values):
         data = _as_array(values)
-        if validate and not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(data)):
             raise NumericError("tensor values must be finite (no NaN/Inf)")
         self.data = data
         self._parents: tuple = ()
@@ -152,11 +152,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(data, (a, b), vjp)
 
 
-def scale(t: Tensor, c: float) -> Tensor:
-    t = lift(t)
-    return Tensor._result(t.data * c, (t,), lambda g: (g * c,))
-
-
 def div_scalar(t: Tensor, c: float) -> Tensor:
     t = lift(t)
     if c == 0.0:
@@ -165,48 +160,13 @@ def div_scalar(t: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product following numpy semantics for the shapes used here.
-
-    Supported: (..., k) @ (k, m), (r, k) @ (k,), and (k,) @ (k,) dot.
-    Anything else raises a ShapeError naming both shapes.
-    """
+    """Product of an (r, k) and a (k, m) matrix; any other pair of shapes
+    raises a ShapeError naming both."""
     a, b = lift(a), lift(b)
     A, B = a.data, b.data
-
-    def bad():
-        return ShapeError(f"cannot matmul shapes {A.shape} and {B.shape}")
-
-    if A.ndim >= 2 and B.ndim == 2:
-        if A.shape[-1] != B.shape[0]:
-            raise bad()
-        data = A @ B
-
-        def vjp(g):
-            da = g @ B.T
-            k, m = B.shape
-            db = A.reshape(-1, k).T @ g.reshape(-1, m)
-            return da, db
-
-    elif A.ndim == 2 and B.ndim == 1:
-        if A.shape[1] != B.shape[0]:
-            raise bad()
-        data = A @ B
-
-        def vjp(g):
-            return np.outer(g, B), A.T @ g
-
-    elif A.ndim == 1 and B.ndim == 1:
-        if A.shape[0] != B.shape[0]:
-            raise bad()
-        data = np.asarray(A @ B)
-
-        def vjp(g):
-            return g * B, g * A
-
-    else:
-        raise bad()
-
-    return Tensor._result(np.ascontiguousarray(data), (a, b), vjp)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ShapeError(f"cannot matmul shapes {A.shape} and {B.shape}")
+    return Tensor._result(A @ B, (a, b), lambda g: (g @ B.T, A.T @ g))
 
 
 def matmul_rows(a: Tensor, w: Tensor) -> Tensor:
@@ -302,21 +262,6 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         return tuple(grads)
 
     return Tensor._result(data, tuple(parts), vjp)
-
-
-def slice_last(t: Tensor, start: int, stop: int) -> Tensor:
-    t = lift(t)
-    width = t.data.shape[-1]
-    if not (0 <= start <= stop <= width):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for width {width}")
-    data = np.ascontiguousarray(t.data[..., start:stop])
-
-    def vjp(g):
-        full = np.zeros_like(t.data)
-        full[..., start:stop] = g
-        return (full,)
-
-    return Tensor._result(data, (t,), vjp)
 
 
 def take_rows(t: Tensor, indices) -> Tensor:

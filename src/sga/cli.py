@@ -241,10 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-init", action="store_true",
                    help="draw fresh parameters from the seed")
     p.add_argument("--out-dir", default="out")
-    p.add_argument("--zero-relations", action="store_true",
-                   help="zero all relation encodings (keeps the relation machinery)")
-    p.add_argument("--baseline", action="store_true",
-                   help="content-only attention, no relation machinery")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--zero-relations", action="store_true",
+                      help="zero all relation encodings (keeps the relation machinery)")
+    mode.add_argument("--baseline", action="store_true",
+                      help="content-only attention, no relation machinery")
     p.add_argument("--dump-scores", action="store_true",
                    help="also dump raw score matrices")
     _add_config_flags(p)

@@ -13,6 +13,14 @@ from dataclasses import dataclass
 SEED_ENV_VAR = "SGA_SEED"
 
 _TOY_DIMS = dict(d_model=16, d_e=8, d_h=8, n_blocks=2, heads=2, d_ff=32)
+_POSITIVE = ("d_model", "d_e", "d_h", "heads", "d_ff", "max_chars")
+
+
+def _check_field(name: str, value) -> None:
+    if name in _POSITIVE and value <= 0:
+        raise ValueError(f"{name} must be positive")
+    if name == "n_blocks" and value < 0:
+        raise ValueError("n_blocks must be non-negative")
 
 
 @dataclass
@@ -28,11 +36,8 @@ class PipelineConfig:
     max_chars: int = 400
 
     def __post_init__(self):
-        for field in ("d_model", "d_e", "d_h", "heads", "d_ff", "max_chars"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
-        if self.n_blocks < 0:
-            raise ValueError("n_blocks must be non-negative")
+        for field in dataclasses.fields(self):
+            _check_field(field.name, getattr(self, field.name))
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by heads ({self.heads})"
@@ -67,7 +72,8 @@ def _coerce(field: dataclasses.Field, raw: str):
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a flat key=value config file; '#' starts a comment line."""
+    """Parse a flat key=value config file; '#' starts a comment line. Errors
+    name the file, and the line of a key whose value is bad on its own."""
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -83,16 +89,22 @@ def load_config(path) -> PipelineConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _coerce(fields[key], value.strip())
+                _check_field(key, values[key])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return PipelineConfig(**values)
+    try:
+        return PipelineConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def resolve_seed(flag_value) -> int:
-    """CLI flag wins; otherwise SGA_SEED from the environment; otherwise 0."""
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
+    """CLI flag wins; otherwise SGA_SEED from the environment; otherwise 0.
+    A seed that is not a non-negative integer is a ValueError naming its source."""
+    source, raw = "--seed", flag_value
+    if raw is None:
+        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+    text = str(raw).strip()
+    if not text.isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return int(text)

@@ -9,10 +9,12 @@ where [fwd_ij; bwd_ij] = W_r r_ij splits the projected relation encoding of
 the pair's path. The score expands into four addressing terms -- pure
 content, a forward relation bias, a backward relation bias, and a
 relation-only term -- stated per pair by `syntax_score_terms`. The layer
-computes the same four terms for all pairs at once, the relation terms once
-per distinct path, and gathers them per pair. With zero relation encodings
-the score reduces exactly to the plain dot-product attention, and the whole
-encoder reduces to a plain transformer encoder; `baseline_forward` runs that
+computes the same four terms for all pairs at once. It folds each half of
+W_r into its projection, Wq W_r,top and Wk W_r,bottom, so a relation
+encoding maps straight to a d_head-wide query and key, once per distinct
+path, gathered per pair. With zero relation encodings the score reduces
+exactly to the plain dot-product attention, and the whole encoder reduces to
+a plain transformer encoder; `encoder_forward` with relations=None runs that
 reference path on the same parameters.
 
 Blocks are post-norm: sublayer, residual add, then normalization. Forward
@@ -40,7 +42,6 @@ from .autodiff import (
     mul,
     relu,
     reshape,
-    slice_last,
     softmax,
     sum_last,
     take_rows,
@@ -253,20 +254,24 @@ def _pair_scores(
     addressing terms of `syntax_score_terms`.
 
     Each relation term is computed once per distinct path and gathered per
-    pair through the pair table (Shaw et al. 2018, section 3.3), so no
-    operand is larger than (n, n) or (n, paths). relations=None returns the
-    content term alone; zero encodings add exact zeros to that same term.
+    pair through the pair table (Shaw et al. 2018, section 3.3). W_r's
+    forward half is folded into Wq and its backward half into Wk, so the
+    encodings project straight to (paths, d_head) and no operand is larger
+    than (n, n) or (n, paths). relations=None returns the content term alone;
+    zero encodings add exact zeros to that same term.
     """
     queries = matmul(x, transpose(head.w_q))  # (n, d_head)
     keys = matmul(x, transpose(head.w_k))
     content = matmul(queries, transpose(keys))  # (n, n)
     if relations is None:
         return content
-    n, d_model = x.data.shape
+    n = x.data.shape[0]
     paths = relations.encodings.data.shape[0]
-    projected = matmul(relations.encodings, transpose(head.w_r))  # (paths, 2 d_model)
-    rel_queries = matmul(slice_last(projected, 0, d_model), transpose(head.w_q))
-    rel_keys = matmul(slice_last(projected, d_model, 2 * d_model), transpose(head.w_k))
+    top, bottom = np.arange(2 * head.d_model).reshape(2, head.d_model)
+    query_map = matmul(head.w_q, take_rows(head.w_r, top))  # (d_head, 2 d_h)
+    key_map = matmul(head.w_k, take_rows(head.w_r, bottom))
+    rel_queries = matmul(relations.encodings, transpose(query_map))  # (paths, d_head)
+    rel_keys = matmul(relations.encodings, transpose(key_map))
     u = relations.pair_index
     # Flat offsets into the (n, paths) products: row i or column j, path u_ij.
     fwd = take_rows(
@@ -354,12 +359,18 @@ def _embed(char_ids, stack: EncoderStackParams) -> Tensor:
     return x
 
 
-def _forward(
+def encoder_forward(
     char_ids,
     relations: Optional[RelationTensor],
     stack: EncoderStackParams,
-    collect_attention: bool,
+    collect_attention: bool = False,
 ):
+    """Embed characters (plus optional position signal) and apply every
+    block: relation-biased attention, then feed-forward, each with residual
+    and post-normalization. relations=None runs content-only attention, with
+    no relation machinery anywhere in the pass. Returns the final
+    (n, d_model) embeddings, and the per-block/head attention maps when
+    requested."""
     x = _embed(char_ids, stack)
     if relations is not None:
         _check_relations(relations, x.data.shape[0])
@@ -369,26 +380,3 @@ def _forward(
     if collect_attention:
         return x, maps
     return x
-
-
-def encoder_forward(
-    char_ids,
-    relations: RelationTensor,
-    stack: EncoderStackParams,
-    collect_attention: bool = False,
-):
-    """Embed characters (plus optional position signal) and apply every
-    block: relation-biased attention, then feed-forward, each with residual
-    and post-normalization. Returns the final (n, d_model) embeddings, and
-    the per-block/head attention maps when requested."""
-    return _forward(char_ids, relations, stack, collect_attention)
-
-
-def baseline_forward(
-    char_ids,
-    stack: EncoderStackParams,
-    collect_attention: bool = False,
-):
-    """Content-only reference encoder on the same parameters (no relation
-    machinery anywhere in the pass)."""
-    return _forward(char_ids, None, stack, collect_attention)

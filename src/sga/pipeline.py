@@ -10,7 +10,7 @@ import numpy as np
 from .autodiff import Parameter
 from .config import PipelineConfig
 from .conllu import CharAlignment, DependencyTree, align_characters
-from .encoder import EncoderStackParams, baseline_forward, encoder_forward
+from .encoder import EncoderStackParams, encoder_forward
 from .relation import LabelVocab, RelationEncoderParams, RelationTensor
 from .syntax_graph import (
     CharRelationMap,
@@ -135,11 +135,11 @@ class Model:
         `baseline` skips the relation machinery entirely; `zero_relations`
         runs it but with all-zero encodings (the two agree bit for bit).
         """
-        if baseline:
-            return baseline_forward(sentence.char_ids, self.stack, collect_attention)
-        relations = self.encode_relations(sentence)
-        if zero_relations:
-            relations = relations.zeroed()
+        relations = None
+        if not baseline:
+            relations = self.encode_relations(sentence)
+            if zero_relations:
+                relations = relations.zeroed()
         return encoder_forward(
             sentence.char_ids, relations, self.stack, collect_attention
         )

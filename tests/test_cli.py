@@ -114,6 +114,15 @@ class TestEncodeCommand:
         ) == 0
         assert read_tree(zero) == read_tree(base)
 
+    def test_baseline_and_zero_relations_are_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "enc"
+        assert main(
+            ["encode", DOGS, "--random-init", *TOY, "--baseline", "--zero-relations",
+             "--out-dir", str(out)]
+        ) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scores_dumped_on_request(self, tmp_path):
         out = tmp_path / "enc"
         assert main(
@@ -317,6 +326,25 @@ class TestConfigHandling:
              "--out-dir", str(tmp_path / "enc")]
         ) == 2
         assert "maximum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, env, source", [
+        (["encode", MINIMAL, "--random-init", "--toy"], "abc", "SGA_SEED"),
+        (["encode", MINIMAL, "--random-init", "--toy"], "-1", "SGA_SEED"),
+        (["encode", MINIMAL, "--random-init", "--toy", "--seed", "-1"], None, "--seed"),
+        (["toytrain", MINIMAL, "--epochs", "0", "--toy", "--seed", "-1"], None, "--seed"),
+        (["verify", "algebra", "--seed", "-1"], None, "--seed"),
+    ], ids=["env-abc", "env-negative", "encode", "toytrain", "verify"])
+    def test_bad_seed_names_its_source(self, tmp_path, capsys, monkeypatch, argv, env, source):
+        if env is None:
+            monkeypatch.delenv("SGA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SGA_SEED", env)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{source} must be a non-negative integer, got " in err
+        assert (env or "-1") in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGA_SEED", "3")

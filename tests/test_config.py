@@ -55,9 +55,24 @@ def test_load_config_rejects_bad_booleans(tmp_path):
             load_config(path)
 
 
+def test_load_config_names_line_of_bad_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nd_model=16\nheads=0\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:3: heads must be positive"):
+        load_config(path)
+
+
+def test_load_config_names_file_for_divisibility(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("d_model=10\nheads=4\n")
+    with pytest.raises(ValueError, match=r"run\.cfg: d_model \(10\) must be divisible"):
+        load_config(path)
+
+
 def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.delenv("SGA_SEED", raising=False)
     assert resolve_seed(None) == 0
     monkeypatch.setenv("SGA_SEED", "41")
     assert resolve_seed(None) == 41
     assert resolve_seed(7) == 7
+

@@ -13,7 +13,6 @@ from sga.encoder import (
     AttentionHeadParams,
     LAYER_NORM_EPS,
     attention_weights,
-    baseline_forward,
     baseline_score,
     encoder_forward,
     position_signal,
@@ -51,11 +50,11 @@ def random_head(rng, d_model=6, d_head=3, d_h=4):
     )
 
 
-def toy_model(seed=0, use_positions=True, trees=(CHAIN,)):
-    config = PipelineConfig(
-        d_model=8, d_e=4, d_h=4, n_blocks=2, heads=2, d_ff=16,
-        seed=seed, use_positions=use_positions,
-    )
+def toy_model(seed=0, use_positions=True, trees=(CHAIN,), **dims):
+    config = PipelineConfig(**{
+        "d_model": 8, "d_e": 4, "d_h": 4, "n_blocks": 2, "heads": 2, "d_ff": 16,
+        "seed": seed, "use_positions": use_positions, **dims,
+    })
     model = Model.create(config, list(trees))
     return model
 
@@ -168,17 +167,23 @@ class TestGraphAttentionLayer:
         np.testing.assert_allclose(out.data[0], block.w_o.data @ values, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "tree",
-        [CHAIN] + [random_sentence_tree(np.random.default_rng(s)) for s in range(3)],
-        ids=["chain", "random0", "random1", "random2"],
+        "tree, dims",
+        [(CHAIN, {})]
+        + [(random_sentence_tree(np.random.default_rng(s)), {}) for s in range(3)]
+        # d_model 12, 2 d_h 10 and d_head 4 all differ, so a fold of W_r into
+        # Wq and Wk that mixes up its axes or halves cannot pass.
+        + [(random_sentence_tree(np.random.default_rng(0)),
+            {"d_model": 12, "d_e": 3, "d_h": 5, "heads": 3})],
+        ids=["chain", "random0", "random1", "random2", "random0-non-square"],
     )
-    def test_triple_loop_oracle(self, tree):
-        """Vectorized layer vs an explicit per-pair, per-head recomputation."""
-        model = toy_model(seed=11, trees=(tree,))
+    def test_triple_loop_oracle(self, tree, dims):
+        """Vectorized layer vs an explicit per-pair, per-head recomputation
+        that splits W_r r_ij unfolded."""
+        model = toy_model(seed=11, trees=(tree,), **dims)
         sentence = model.prepare(tree)
         rel = model.encode_relations(sentence)
         block = model.stack.blocks[0]
-        n, d_model = sentence.n_chars, 8
+        n, d_model = sentence.n_chars, model.config.d_model
         rng = np.random.default_rng(8)
         x = rng.standard_normal((n, d_model))
 
@@ -364,14 +369,21 @@ class TestEncoderForward:
 
     def test_tape_holds_no_tensor_above_two_dims(self, flight_tree):
         """Relation terms are gathered per pair from (n, paths) products; no
-        (n, n, d) bias grid is ever recorded, with relations or without."""
-        model = toy_model(seed=56, trees=(flight_tree,))
+        (n, n, d) bias grid is ever recorded, with relations or without. W_r
+        is folded into the query/key maps, so nothing with one row per
+        distinct path is wider than the (paths, 2 d_h) encodings: with
+        d_model 12 > 2 d_h 6, a (paths, d_model) projection would show."""
+        model = toy_model(seed=56, trees=(flight_tree,), d_model=12, heads=3, d_h=3)
         sentence = model.prepare(flight_tree)
+        paths = model.encode_relations(sentence).encodings.data.shape[0]
+        assert paths not in (sentence.n_chars, 2 * 3)
         for out in (model.forward(sentence), model.forward(sentence, baseline=True)):
             seen, stack = {id(out)}, [out]
             while stack:
                 node = stack.pop()
                 assert node.data.ndim <= 2, node.shape
+                if node.data.ndim == 2 and node.shape[0] == paths:
+                    assert node.shape[1] <= 2 * 3, node.shape
                 for parent in node._parents:
                     if id(parent) not in seen:
                         seen.add(id(parent))
