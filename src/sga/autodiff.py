@@ -104,6 +104,26 @@ def zero_gradients(params: Iterable[Parameter]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Array kernels shared by the ops below and by fused ops built on
+# Tensor._result (the relation encoder's GRU levels).
+# ---------------------------------------------------------------------------
+
+
+def row_products(A: Array, W: Array) -> Array:
+    """(B, k) rows times the transpose of (m, k): (B, m), one (1, k) @ (k, m)
+    product per row, so a row gets the same bits whatever batch it sits in.
+    Plain gemm blocks rows together, and a row's rounding then depends on the
+    batch size."""
+    return (A[:, None, :] @ W.T)[:, 0]
+
+
+def logistic(x: Array) -> Array:
+    """Sigmoid without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# ---------------------------------------------------------------------------
 # Primitive operations. Each returns a Tensor whose _vjp maps the incoming
 # gradient to one gradient per parent, aligned with _parents.
 # ---------------------------------------------------------------------------
@@ -170,18 +190,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul_rows(a: Tensor, w: Tensor) -> Tensor:
-    """Rows of a (B, k) matrix times the transpose of a (m, k) matrix: (B, m).
-
-    Each row is its own (1, k) @ (k, m) product, so a row gets the same bits
-    whatever batch it sits in. Plain gemm blocks rows together, and a row's
-    rounding then depends on the batch size.
-    """
+    """Rows of a (B, k) matrix times the transpose of a (m, k) matrix: (B, m),
+    batch-invariant (see `row_products`)."""
     a, w = lift(a), lift(w)
     A, W = a.data, w.data
     if A.ndim != 2 or W.ndim != 2 or A.shape[1] != W.shape[1]:
         raise ShapeError(f"cannot matmul_rows shapes {A.shape} and {W.shape}")
-    data = (A[:, None, :] @ W.T)[:, 0]
-    return Tensor._result(data, (a, w), lambda g: (g @ W, g.T @ A))
+    return Tensor._result(row_products(A, W), (a, w), lambda g: (g @ W, g.T @ A))
 
 
 def transpose(t: Tensor) -> Tensor:
@@ -201,12 +216,7 @@ def tanh(t: Tensor) -> Tensor:
 
 def sigmoid(t: Tensor) -> Tensor:
     t = lift(t)
-    x = t.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = logistic(t.data)
     return Tensor._result(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 

@@ -2,8 +2,8 @@
 verification suites, shortest-path dumps, and toy training.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
-Every command is deterministic under a fixed seed (``--seed`` flag or the
-``SGA_SEED`` environment variable).
+Every command is deterministic under a fixed seed: the ``--seed`` flag, else
+the ``SGA_SEED`` environment variable, else the config file's ``seed``.
 """
 
 from __future__ import annotations
@@ -45,28 +45,31 @@ def _read_trees(path: str):
 
 
 def _config_from_args(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        config = load_config(args.config)
-    elif getattr(args, "toy", False):
-        config = PipelineConfig.toy()
-    else:
-        config = PipelineConfig()
+    """Flags over the config file (or the toy dims) over the defaults. The
+    seed comes from --seed, then SGA_SEED, then the file, then 0."""
     overrides = {}
     for name in ("d_model", "d_e", "d_h", "n_blocks", "heads", "d_ff", "max_chars"):
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "no_positions", False):
+    if args.no_positions:
         overrides["use_positions"] = False
-    overrides["seed"] = resolve_seed(getattr(args, "seed", None))
-    return config.replace(**overrides)
+    seed = resolve_seed(args.seed, fallback=None)
+    if seed is not None:
+        overrides["seed"] = seed
+    if args.config:
+        return load_config(args.config, **overrides)
+    if args.toy:
+        return PipelineConfig.toy(**overrides)
+    return PipelineConfig(**overrides)
 
 
 def _add_config_flags(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--toy", action="store_true", help="use small toy dimensions")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="flat key=value config file")
+    source.add_argument("--toy", action="store_true", help="use small toy dimensions")
     parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (falls back to SGA_SEED, then 0)")
+                        help="random seed (falls back to SGA_SEED, then the config file, then 0)")
     parser.add_argument("--no-positions", action="store_true",
                         help="disable the sinusoidal position signal")
     for name in ("d-model", "d-e", "d-h", "n-blocks", "heads", "d-ff", "max-chars"):

@@ -1,7 +1,8 @@
 """Pipeline configuration: model dimensions, seed, toggles.
 
 Configs load from flat ``key=value`` text files and can be overridden by
-CLI flags. The seed falls back to the ``SGA_SEED`` environment variable.
+CLI flags. The seed comes from the ``--seed`` flag, else the ``SGA_SEED``
+environment variable, else the file, else 0.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ class PipelineConfig:
         merged = {**_TOY_DIMS, **overrides}
         return cls(**merged)
 
-    def replace(self, **overrides) -> "PipelineConfig":
-        return dataclasses.replace(self, **overrides)
-
 
 def _coerce(field: dataclasses.Field, raw: str):
     if field.type in ("bool", bool):
@@ -71,9 +69,13 @@ def _coerce(field: dataclasses.Field, raw: str):
         raise ValueError(f"{field.name}: cannot parse integer from {raw!r}") from None
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse a flat key=value config file; '#' starts a comment line. Errors
-    name the file, and the line of a key whose value is bad on its own."""
+def load_config(path, **overrides) -> PipelineConfig:
+    """Parse a flat key=value config file; '#' starts a comment line.
+    `overrides` (CLI flags) replace the file's values before the config is
+    validated, so a flag can repair a file. Errors name the file, and the
+    line of a key whose value is bad on its own."""
+    for key, value in overrides.items():
+        _check_field(key, value)
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -93,17 +95,20 @@ def load_config(path) -> PipelineConfig:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
-        return PipelineConfig(**values)
+        return PipelineConfig(**{**values, **overrides})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def resolve_seed(flag_value) -> int:
-    """CLI flag wins; otherwise SGA_SEED from the environment; otherwise 0.
-    A seed that is not a non-negative integer is a ValueError naming its source."""
+def resolve_seed(flag_value, fallback=0):
+    """CLI flag wins; otherwise SGA_SEED from the environment; otherwise
+    `fallback`. A seed that is not a non-negative integer is a ValueError
+    naming its source."""
     source, raw = "--seed", flag_value
     if raw is None:
-        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return fallback
     text = str(raw).strip()
     if not text.isdecimal():
         raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")

@@ -1,4 +1,8 @@
-"""The batched GRU cell used by the relation-path encoder.
+"""The GRU cell of the relation-path encoder, composed from autodiff ops.
+
+The relation encoder runs the same arithmetic fused into one op per
+direction (`relation._final_states`); this composed cell is its independent
+oracle, stepped one path at a time by `verify.lone_path_encoding`.
 
 Gate convention: update gate z and reset gate r are sigmoid units, the
 candidate state applies r to the recurrent term, and the new state blends

@@ -11,10 +11,15 @@ The prefix and the suffix of a tree path are paths of the same sentence
 (see `syntax_graph.PathTable`), so the forward state of path u is one step
 from the forward state of its prefix, and its backward state one step from
 the backward state of its suffix. Each direction therefore steps every
-distinct path once, in one batched step per path length. Batch invariance:
-a row's bits must not depend on the other paths in its call (the dedup
-check compares each row with a lone-path encoding), so the cell multiplies
-row by row, never by gemm.
+distinct path once, in one batched step per path length, and records one
+autodiff op (`_final_states`) whose backward pass is written by hand. The
+input projections are hoisted out of the recurrence: the label table goes
+through w_z, w_r and w_h once per direction, and each step gathers its
+rows. Batch invariance: a row's bits must not depend on the other paths in
+its call (the dedup check compares each row with a lone-path encoding that
+`verify` steps through the composed `gru.gru_cell_forward`), so every
+product is `autodiff.row_products`, row by row, never gemm, and the gates
+keep the composed cell's order of operations.
 
 Encoding is pure given frozen parameters; parameter updates are
 single-writer.
@@ -33,10 +38,10 @@ from .autodiff import (
     Tensor,
     concat_last,
     glorot_uniform,
-    take_rows,
-    transpose,
+    logistic,
+    row_products,
 )
-from .gru import GruCellParams, gru_cell_forward
+from .gru import GruCellParams
 from .syntax_graph import (
     CharRelationMap,
     DirectedLabel,
@@ -115,26 +120,71 @@ class RelationEncoderParams:
         return [self.edge_embedding] + self.gru_fwd.parameters() + self.gru_bwd.parameters()
 
 
+def gru_level(cell: GruCellParams, h, xz, xr, xh):
+    """One batched GRU step in numpy: states `h` (B, d_h) and input rows
+    already projected through w_z, w_r and w_h. Returns the new states and
+    what the backward pass reads. The gates keep the composed cell's order,
+    (x W + h U) + b and (1 - z) h + z c, so the bits match it."""
+    z = logistic(xz + row_products(h, cell.u_z.data) + cell.b_z.data)
+    r = logistic(xr + row_products(h, cell.u_r.data) + cell.b_r.data)
+    rh = r * h
+    c = np.tanh(xh + row_products(rh, cell.u_h.data) + cell.b_h.data)
+    return (1.0 - z) * h + z * c, (h, z, r, rh, c)
+
+
 def _final_states(
-    cell: GruCellParams, parent: np.ndarray, label_ids: np.ndarray,
-    levels: list[np.ndarray], rank: np.ndarray, table: Tensor,
+    cell: GruCellParams, table: Tensor, parent: np.ndarray,
+    label_ids: np.ndarray, levels: list[np.ndarray],
 ) -> Tensor:
-    """Final state of `cell` run over every distinct path from a zero state.
+    """Final state of `cell` run over every distinct path from a zero state,
+    (len(parent), d_h), as one autodiff op on `table` and the cell weights.
 
     Path u's state is one step from the state of path `parent[u]` on label
-    row `label_ids[u]`. `levels[d - 1]` lists the paths of length d, so each
-    length is one batched step on the states of the length before, and
-    `rank[u]` is path u's row once the levels are stacked (`rank[-1]` is 0:
-    parent -1 reads the one zero row).
+    row `label_ids[u]`, and `levels[d - 1]` lists the paths of length d, so
+    each length is one batched step on states of the length before. The
+    states live in one array whose extra last row is the zero state that
+    parent -1 reads.
     """
-    state = Tensor(np.zeros((1, cell.hidden_size)))
-    columns, previous = [], 0
+    weights = cell.parameters()
+    w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = (p.data for p in weights)
+    inputs = [row_products(table.data, w) for w in (w_z, w_r, w_h)]
+    states = np.zeros((len(parent) + 1, cell.hidden_size))
+    saved = []
     for level in levels:
-        parents = take_rows(state, rank[parent[level]] - previous)
-        state = gru_cell_forward(cell, parents, take_rows(table, label_ids[level]))
-        columns.append(transpose(state))
-        previous = rank[level[0]]
-    return take_rows(transpose(concat_last(columns)), rank[:-1])
+        labels = label_ids[level]
+        states[level], step = gru_level(
+            cell, states[parent[level]], *(x[labels] for x in inputs)
+        )
+        saved.append(step)
+
+    def vjp(g):
+        d_states = np.zeros_like(states)
+        d_states[:-1] = g
+        d_inputs = [np.zeros_like(x) for x in inputs]
+        d_gates, rows = [], []
+        for level, (h, z, r, rh, c) in zip(reversed(levels), reversed(saved)):
+            d_new = d_states[level]
+            d_c = d_new * z * (1.0 - c * c)
+            d_rh = d_c @ u_h
+            d_r = d_rh * h * r * (1.0 - r)
+            d_z = d_new * (c - h) * z * (1.0 - z)
+            d_h = d_new * (1.0 - z) + d_rh * r + d_z @ u_z + d_r @ u_r
+            np.add.at(d_states, parent[level], d_h)
+            for d_x, d_a in zip(d_inputs, (d_z, d_r, d_c)):
+                np.add.at(d_x, label_ids[level], d_a)
+            d_gates.append((d_z, d_r, d_c))
+            rows.append((h, rh))
+        d_z, d_r, d_c = (np.concatenate(d) for d in zip(*d_gates))
+        h, rh = (np.concatenate(x) for x in zip(*rows))
+        d_table = sum(d_x @ w for d_x, w in zip(d_inputs, (w_z, w_r, w_h)))
+        return (
+            d_table,
+            d_inputs[0].T @ table.data, d_z.T @ h, d_z.sum(axis=0),
+            d_inputs[1].T @ table.data, d_r.T @ h, d_r.sum(axis=0),
+            d_inputs[2].T @ table.data, d_c.T @ rh, d_c.sum(axis=0),
+        )
+
+    return Tensor._result(states[:-1], (table, *weights), vjp)
 
 
 def encode_paths(
@@ -153,11 +203,9 @@ def encode_paths(
     first = np.array([vocab.index_of(label) for label in paths.first], dtype=np.int64)
     order = np.argsort(paths.length, kind="stable")
     levels = np.split(order, np.cumsum(np.bincount(paths.length)[1:])[:-1])
-    rank = np.zeros(len(order) + 1, dtype=np.int64)
-    rank[order] = np.arange(len(order))
     table = params.edge_embedding
-    forward = _final_states(params.gru_fwd, paths.prefix, last, levels, rank, table)
-    backward = _final_states(params.gru_bwd, paths.suffix, first, levels, rank, table)
+    forward = _final_states(params.gru_fwd, table, paths.prefix, last, levels)
+    backward = _final_states(params.gru_bwd, table, paths.suffix, first, levels)
     return concat_last([forward, backward])
 
 

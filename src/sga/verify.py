@@ -169,8 +169,9 @@ def lone_path_encoding(
     labels, params: RelationEncoderParams, vocab: LabelVocab
 ) -> Tensor:
     """(1, 2 * d_h) relation encoding of one label sequence, stepped label by
-    label at batch size 1. It shares the GRU cell with the relation encoder
-    but not the path table, so it is the naive side of the dedup check."""
+    label at batch size 1 through the composed GRU cell. It shares neither
+    the fused level op nor the path table with the relation encoder, so it
+    is the naive side of the dedup check."""
     ids = [vocab.index_of(label) for label in labels]
     if not ids:
         raise ValueError("cannot encode an empty path")

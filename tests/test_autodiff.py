@@ -12,9 +12,11 @@ from sga.autodiff import (
     Tensor,
     add,
     backward,
+    logistic,
     matmul,
     matmul_rows,
     mul,
+    sigmoid,
     softmax,
     sub,
     sum_all,
@@ -98,6 +100,21 @@ class TestMatmulRows:
             assert np.array_equal(matmul_rows(Tensor(a[subset]), w).data, out[subset])
             for i in range(b):
                 assert np.array_equal(matmul_rows(Tensor(a[i : i + 1]), w).data[0], out[i])
+
+
+class TestSigmoid:
+    def test_same_bits_as_masked_form(self):
+        """The branch-free kernel equals the two-branch form bit for bit,
+        extremes and signed zeros included, and never overflows."""
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.standard_normal(500) * 10, [0.0, -0.0, 750.0, -750.0]])
+        masked = np.empty_like(x)
+        pos = x >= 0
+        masked[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        masked[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        with np.errstate(over="raise"):
+            assert np.array_equal(logistic(x), masked)
+            assert np.array_equal(sigmoid(Tensor(x)).data, masked)
 
 
 class TestSoftmax:

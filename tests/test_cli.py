@@ -312,6 +312,53 @@ class TestConfigHandling:
         # 1 block x 3 heads worth of attention maps
         assert len(list(out.glob("attn_*.csv"))) == 3
 
+    def test_config_seed_used_when_no_flag_or_env(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SGA_SEED", raising=False)
+        dims = "d_model=12\nd_e=6\nd_h=6\nn_blocks=1\nheads=2\nd_ff=24\n"
+        seeded, plain = tmp_path / "seeded.cfg", tmp_path / "plain.cfg"
+        seeded.write_text(dims + "seed=5\n")
+        plain.write_text(dims)
+        runs = {"file": ["--config", str(seeded)],
+                "flag": ["--config", str(plain), "--seed", "5"],
+                "default": ["--config", str(plain)]}
+        out = {}
+        for name, flags in runs.items():
+            assert main(["encode", MINIMAL, "--random-init", *flags,
+                         "--out-dir", str(tmp_path / name)]) == 0
+            out[name] = (tmp_path / name / "embeddings.sga").read_bytes()
+        assert out["file"] == out["flag"] != out["default"]
+        monkeypatch.setenv("SGA_SEED", "0")
+        assert main(["encode", MINIMAL, "--random-init", "--config", str(seeded),
+                     "--out-dir", str(tmp_path / "env")]) == 0
+        assert (tmp_path / "env" / "embeddings.sga").read_bytes() == out["default"]
+
+    def test_flag_repairs_config_before_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d_model=12\nd_e=6\nd_h=6\nn_blocks=1\nheads=5\nd_ff=24\n")
+        out = tmp_path / "enc"
+        assert main(["encode", MINIMAL, "--random-init", "--config", str(cfg),
+                     "--heads", "3", "--out-dir", str(out)]) == 0
+        assert len(list(out.glob("attn_*.csv"))) == 3
+        assert main(["encode", MINIMAL, "--random-init", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 2
+        assert f"{cfg}: d_model (12) must be divisible by heads (5)" in capsys.readouterr().err
+        cfg.write_text("d_model=12\nheads=0\n")
+        assert main(["encode", MINIMAL, "--random-init", "--config", str(cfg),
+                     "--heads", "3", "--out-dir", str(out)]) == 2
+        assert f"{cfg}:2: heads must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["encode", MINIMAL, "--random-init"], ["toytrain", MINIMAL, "--epochs", "0"],
+    ], ids=["encode", "toytrain"])
+    def test_toy_and_config_are_exclusive(self, tmp_path, capsys, monkeypatch, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d_model=12\nheads=2\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--toy", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "not allowed with argument" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")

@@ -76,3 +76,21 @@ def test_resolve_seed_precedence(monkeypatch):
     assert resolve_seed(None) == 41
     assert resolve_seed(7) == 7
 
+
+
+def test_load_config_overrides_apply_before_validation(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("d_model=12\nheads=5\nseed=5\n")
+    config = load_config(path, heads=3)
+    assert (config.d_model, config.heads, config.seed) == (12, 3, 5)
+    assert load_config(path, heads=4, seed=1).seed == 1
+    with pytest.raises(ValueError, match="heads must be positive"):
+        load_config(path, heads=0)
+
+
+def test_resolve_seed_fallback(monkeypatch):
+    monkeypatch.delenv("SGA_SEED", raising=False)
+    assert resolve_seed(None, fallback=None) is None
+    monkeypatch.setenv("SGA_SEED", "4")
+    assert resolve_seed(None, fallback=None) == 4
+    assert resolve_seed(2, fallback=None) == 2

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from sga import relation, syntax_graph
-from sga.autodiff import Tensor, mul, sum_all
+from sga.autodiff import (
+    Tensor, _topo_order, backward, concat_last, mul, sum_all, take_rows, transpose,
+    zero_gradients,
+)
 from sga.conllu import DependencyTree, Edge, align_characters
 from sga.config import PipelineConfig
 from sga.gradcheck import check_gradient
+from sga.gru import gru_cell_forward
 from sga.pipeline import Model
 from sga.relation import (
     LabelVocab,
@@ -198,20 +202,21 @@ class TestEncodePath:
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_one_gru_step_per_distinct_prefix_and_suffix(self, seed, flight_tree, monkeypatch):
-        """Each direction makes one batched cell call per depth, and the
+        """Each direction makes one batched GRU step per depth, and the
         rows stepped are the distinct prefixes plus the distinct suffixes."""
         tree = flight_tree if seed is None else random_sentence_tree(
             np.random.default_rng(seed), max_words=8
         )
         model = Model.create(PipelineConfig.toy(seed=0), [tree])
         sentence = model.prepare(tree)
-        step, batches = relation.gru_cell_forward, []
+        step, batches = relation.gru_level, []
 
-        def counting(cell, h_prev, x):
-            batches.append(x.shape[0])
-            return step(cell, h_prev, x)
+        def counting(cell, h, xz, xr, xh):
+            assert len(h) == len(xz) == len(xr) == len(xh)
+            batches.append(len(h))
+            return step(cell, h, xz, xr, xh)
 
-        monkeypatch.setattr(relation, "gru_cell_forward", counting)
+        monkeypatch.setattr(relation, "gru_level", counting)
         rel = model.encode_relations(sentence)
         vocab = model.label_vocab
         ids = [tuple(vocab.index_of(label) for label in p.labels) for p in rel.paths]
@@ -236,6 +241,83 @@ class TestEncodePath:
         for row, path in zip(batch.data, paths):
             alone = lone_path_encoding(path.labels, model.relation, model.label_vocab)
             assert np.array_equal(alone.data[0], row)
+
+
+def composed_encoding(paths, params, vocab):
+    """The relation encoder built from composed autodiff ops: one
+    `gru_cell_forward` per path length and direction on the level tensors,
+    the final rows gathered through the stacked levels."""
+    last = np.array([vocab.index_of(label) for label in paths.last])
+    first = np.array([vocab.index_of(label) for label in paths.first])
+    order = np.argsort(paths.length, kind="stable")
+    levels = np.split(order, np.cumsum(np.bincount(paths.length)[1:])[:-1])
+    rank = np.zeros(len(order) + 1, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+
+    def run(cell, parent, label_ids):
+        state = Tensor(np.zeros((1, params.d_h)))
+        columns, previous = [], 0
+        for level in levels:
+            parents = take_rows(state, rank[parent[level]] - previous)
+            x = take_rows(params.edge_embedding, label_ids[level])
+            state = gru_cell_forward(cell, parents, x)
+            columns.append(transpose(state))
+            previous = rank[level[0]]
+        return take_rows(transpose(concat_last(columns)), rank[:-1])
+
+    return concat_last([
+        run(params.gru_fwd, paths.prefix, last), run(params.gru_bwd, paths.suffix, first)
+    ])
+
+
+class TestFusedLevels:
+    @pytest.mark.parametrize("d_e,d_h", [(8, 8), (3, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_equal_composed_cell(self, seed, d_e, d_h):
+        """The fused op's hand-written backward pass gives the composed
+        cell's gradients for the label table and all 18 cell weights."""
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, 12)
+        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        params = RelationEncoderParams.create(len(vocab), d_e=d_e, d_h=d_h, rng=rng)
+        for p in params.parameters():
+            p.assign(0.5 * rng.standard_normal(p.data.shape))
+        table = char_map(tree).table
+        for labels, parent in ((table.last, table.prefix), (table.first, table.suffix)):
+            ids = np.array([vocab.index_of(label) for label in labels])
+            depths = [set(ids[table.length == d]) for d in range(1, max(table.length) + 1)]
+            assert len(depths) >= 4
+            assert any(a & b for i, a in enumerate(depths) for b in depths[i + 1:])
+            widths = np.bincount(table.length)[1:]
+            assert any(len(seen) < width for seen, width in zip(depths[1:], widths[1:]))
+            assert len(set(parent[table.length == 2])) < np.sum(table.length == 2)
+        probe = Tensor(rng.standard_normal((len(table), 2 * d_h)))
+        grads = []
+        for encode in (encode_paths, composed_encoding):
+            zero_gradients(params.parameters())
+            out = encode(table, params, vocab)
+            backward(sum_all(mul(out, probe)))
+            grads.append((out.data, [p.grad.copy() for p in params.parameters()]))
+        (fused, fused_grads), (composed, composed_grads) = grads
+        assert np.array_equal(fused, composed)
+        assert len(fused_grads) == 19
+        for p, a, b in zip(params.parameters(), fused_grads, composed_grads):
+            assert np.any(b != 0.0), p.name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=p.name)
+
+    def test_tape_size_does_not_grow_with_paths(self, flight_tree):
+        """The relation encodings record the same number of tape nodes
+        whatever the number and length of the sentence's paths."""
+        other = random_tree(np.random.default_rng(3), 12)
+        model = Model.create(PipelineConfig.toy(seed=0), [flight_tree, other])
+        counts, sizes = [], []
+        for tree in (flight_tree, other):
+            sentence = model.prepare(tree)
+            table = sentence.char_map.table
+            sizes.append((len(table), int(max(table.length))))
+            counts.append(len(_topo_order(model.encode_relations(sentence).encodings)))
+        assert sizes[0][0] != sizes[1][0] and sizes[0][1] != sizes[1][1]
+        assert counts[0] == counts[1]
 
 
 class TestDistinctBatch:
