@@ -27,16 +27,24 @@ from .autodiff import (
     mul,
     sub,
     transpose,
-    zero_gradients,
 )
+from .errors import NumericError, StateError
 from .pipeline import Model, Sentence
 
 DEFAULT_TARGET_DIM = 4
 
 
-@dataclass
+@dataclass(eq=False)
 class Adam:
-    """Adam with bias correction; defaults match the transformer recipe."""
+    """Adam with bias correction; defaults match the transformer recipe.
+
+    Construction copies every value and gradient into one flat buffer each
+    and rebinds ``p.data`` and ``p.grad`` to views of that parameter's span,
+    so a step is a few whole-buffer operations with the same bits as a
+    per-parameter loop. A step is atomic: if any new value is non-finite it
+    raises NumericError and changes nothing. Once another optimizer has
+    taken over one of the parameters, step and zero_grad raise StateError.
+    """
 
     params: list[Parameter]
     lr: float = 1e-2
@@ -44,33 +52,64 @@ class Adam:
     beta2: float = 0.98
     eps: float = 1e-9
     step_count: int = 0
-    _m: dict = field(default_factory=dict)
-    _v: dict = field(default_factory=dict)
+    _values: np.ndarray = field(init=False, repr=False)
+    _grads: np.ndarray = field(init=False, repr=False)
+    _m: np.ndarray = field(init=False, repr=False)
+    _v: np.ndarray = field(init=False, repr=False)
+    _ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.params = list(self.params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a parameter is listed more than once")
+        self._ends = np.cumsum([p.data.size for p in self.params], dtype=np.int64)
+        total = int(self._ends[-1]) if self.params else 0
+        self._values = np.empty(total)
+        self._grads = np.empty(total)
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        start = 0
+        for p, end in zip(self.params, self._ends):
+            self._values[start:end] = p.data.reshape(-1)
+            self._grads[start:end] = p.grad.reshape(-1)
+            p.data = self._values[start:end].reshape(p.data.shape)
+            p.grad = self._grads[start:end].reshape(p.grad.shape)
+            start = end
+
+    def _check_attached(self):
         for p in self.params:
-            self._m[p.name] = np.zeros_like(p.data)
-            self._v[p.name] = np.zeros_like(p.data)
+            if p.data.base is not self._values or p.grad.base is not self._grads:
+                raise StateError(
+                    f"parameter {p.name!r} no longer reads this optimizer's "
+                    "storage (another optimizer took it over, or p.data was rebound)"
+                )
 
     def step(self, lr: Optional[float] = None):
+        self._check_attached()
         rate = self.lr if lr is None else lr
-        self.step_count += 1
+        count = self.step_count + 1
         b1, b2 = self.beta1, self.beta2
-        correct1 = 1.0 - b1 ** self.step_count
-        correct2 = 1.0 - b2 ** self.step_count
-        for p in self.params:
-            g = p.grad
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            p.assign(p.data - rate * update)
+        correct1 = 1.0 - b1 ** count
+        correct2 = 1.0 - b2 ** count
+        g = self._grads
+        m = self._m * b1
+        m += (1.0 - b1) * g
+        v = self._v * b2
+        v += (1.0 - b2) * g * g
+        update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        values = self._values - rate * update
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            bad = self.params[int(np.searchsorted(self._ends, first, side="right"))]
+            raise NumericError(f"non-finite Adam step for parameter {bad.name!r}")
+        self._m, self._v = m, v
+        np.copyto(self._values, values)
+        self.step_count = count
 
     def zero_grad(self):
-        zero_gradients(self.params)
+        self._check_attached()
+        self._grads.fill(0.0)
 
 
 def warmup_lr(step: int, d_model: int, warmup_steps: int) -> float:

@@ -6,14 +6,58 @@ import pytest
 from sga.autodiff import Parameter, Tensor, backward, mul, sub, sum_all
 from sga.config import PipelineConfig
 from sga.conllu import read_conllu
+from sga.errors import NumericError, StateError
+from sga.gradcheck import check_gradient
 from sga.pipeline import Model
+from sga.serialize import load_into, save_parameters
 from sga.training import (
     Adam,
+    RegressionHead,
     pseudo_targets,
+    sentence_loss,
     toy_train,
     warmup_lr,
     write_loss_curve,
 )
+
+
+class ReferenceAdam:
+    """Per-parameter Adam loop, the oracle of the fused whole-buffer step."""
+
+    def __init__(self, params, lr=1e-2, beta1=0.9, beta2=0.98, eps=1e-9):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, lr=None):
+        rate = self.lr if lr is None else lr
+        self.step_count += 1
+        b1, b2 = self.beta1, self.beta2
+        correct1 = 1.0 - b1 ** self.step_count
+        correct2 = 1.0 - b2 ** self.step_count
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p.assign(p.data - rate * update)
+
+
+def _flat(arrays):
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def _copies(params):
+    out = []
+    for p in params:
+        copy = Parameter(p.name, p.data.copy())  # Parameter keeps the array it is given
+        copy.grad[...] = p.grad
+        out.append(copy)
+    return out
 
 
 def test_adam_minimizes_a_quadratic():
@@ -26,6 +70,160 @@ def test_adam_minimizes_a_quadratic():
         backward(sum_all(mul(diff, diff)))
         optimizer.step()
     np.testing.assert_allclose(w.data, target, atol=1e-4)
+
+
+class TestAdamStorage:
+    def test_failed_step_changes_nothing(self):
+        c = Parameter("c", np.zeros(2))
+        d = Parameter("d", np.zeros(3))
+        c.grad[...] = 1.0
+        d.grad[1] = np.nan
+        optimizer = Adam([c, d])
+        with pytest.raises(NumericError, match="'d'"):
+            optimizer.step()
+        assert np.array_equal(c.data, np.zeros(2))
+        assert np.array_equal(d.data, np.zeros(3))
+        assert optimizer.step_count == 0
+        assert not optimizer._m.any() and not optimizer._v.any()
+        d.grad[...] = 0.0
+        optimizer.step()
+        np.testing.assert_allclose(c.data, -0.01, rtol=1e-8)
+        assert optimizer.step_count == 1
+
+    @pytest.mark.parametrize("shapes", [((2,), (2,)), ((2,), (3,))])
+    def test_same_name_parameters_keep_their_own_moments(self, shapes):
+        a = Parameter("w", np.zeros(shapes[0]))
+        b = Parameter("w", np.zeros(shapes[1]))
+        optimizer = Adam([a, b])
+        for _ in range(3):
+            a.grad[...] = 1.0
+            b.grad[...] = -1.0
+            optimizer.step()
+        # On a constant gradient every Adam step is the learning rate times
+        # the gradient's sign, up to eps.
+        np.testing.assert_allclose(a.data, -0.03, rtol=1e-8)
+        np.testing.assert_allclose(b.data, 0.03, rtol=1e-8)
+
+    def test_parameter_listed_twice_rejected(self):
+        w = Parameter("w", np.zeros(2))
+        with pytest.raises(ValueError):
+            Adam([w, w])
+
+    def test_detached_optimizer_refuses_to_step(self):
+        a = Parameter("a", np.zeros(2))
+        b = Parameter("b", np.zeros(2))
+        old = Adam([a, b])
+        new = Adam([b])
+        b.grad[...] = 1.0
+        with pytest.raises(StateError, match="'b'"):
+            old.step()
+        with pytest.raises(StateError):
+            old.zero_grad()
+        new.step()
+        np.testing.assert_allclose(b.data, -0.01, rtol=1e-8)
+
+    def test_empty_optimizer_steps(self):
+        optimizer = Adam([])
+        optimizer.zero_grad()
+        optimizer.step()
+
+    def test_gradient_held_at_construction_is_kept(self):
+        w = Parameter("w", np.zeros(2))
+        w.grad[...] = 1.0
+        optimizer = Adam([w])
+        assert np.array_equal(optimizer._grads, np.ones(2))
+        optimizer.zero_grad()
+        assert not w.grad.any()
+
+
+def _trainable(fixtures_dir, seed=0):
+    model, sentences = _toy_setup(fixtures_dir, seed=seed)
+    head = RegressionHead.create(model.config.d_model, 4, np.random.default_rng(seed + 1))
+    return model, head, sentences
+
+
+def test_fused_step_matches_reference_loop_bit_for_bit(fixtures_dir):
+    model, head, sentences = _trainable(fixtures_dir)
+    targets = [pseudo_targets(s) for s in sentences]
+    params = model.parameters() + head.parameters()
+    twins = _copies(params)
+    fused = Adam(params)
+    reference = ReferenceAdam(twins)
+    d_model = model.config.d_model
+    for step in range(1, 25):
+        k = step % len(sentences)
+        fused.zero_grad()
+        backward(sentence_loss(model, head, sentences[k], targets[k]))
+        for p, twin in zip(params, twins):
+            twin.grad[...] = p.grad
+        rate = warmup_lr(step, d_model, 10)
+        fused.step(lr=rate)
+        reference.step(lr=rate)
+        for p, twin in zip(params, twins):
+            assert np.array_equal(p.data, twin.data), (step, p.name)
+        assert np.array_equal(fused._m, _flat(reference.m)), step
+        assert np.array_equal(fused._v, _flat(reference.v)), step
+
+
+class TestInPlaceWritesReachTheBuffer:
+    """Writes through the usual in-place routes land in the optimizer's
+    storage, and its next step starts from them."""
+
+    @staticmethod
+    def _step_matches_reference(params, optimizer):
+        assert all(np.shares_memory(p.data, optimizer._values) for p in params)
+        assert np.array_equal(optimizer._values, _flat([p.data for p in params]))
+        twins = _copies(params)
+        for p in params:
+            p.grad[...] = 0.5
+        for twin in twins:
+            twin.grad[...] = 0.5
+        optimizer.step()
+        ReferenceAdam(twins).step()
+        for p, twin in zip(params, twins):
+            assert np.array_equal(p.data, twin.data), p.name
+
+    def test_load_into(self, fixtures_dir, tmp_path):
+        saved, _ = _toy_setup(fixtures_dir, seed=3)
+        path = tmp_path / "params.sga"
+        save_parameters(path, saved.parameters())
+        model, _ = _toy_setup(fixtures_dir)
+        params = model.parameters()
+        optimizer = Adam(params)
+        load_into(params, path)
+        for p, q in zip(params, saved.parameters()):
+            assert np.array_equal(p.data, q.data)
+        self._step_matches_reference(params, optimizer)
+
+    def test_check_gradient(self, fixtures_dir):
+        model, head, sentences = _trainable(fixtures_dir)
+        targets = pseudo_targets(sentences[0])
+        params = model.parameters() + head.parameters()
+        optimizer = Adam(params)
+        before = optimizer._values.copy()
+        seen = []
+
+        def loss():
+            seen.append(np.count_nonzero(optimizer._values != before))
+            return sentence_loss(model, head, sentences[0], targets)
+
+        report = check_gradient(loss, [head.b, params[-3]])
+        assert report.max_rel_error < 1e-5
+        # One unperturbed evaluation, then one nudged coordinate per call.
+        assert len(seen) == 1 + 2 * (head.b.data.size + params[-3].data.size)
+        assert seen[0] == 0 and all(n == 1 for n in seen[1:])
+        assert np.array_equal(optimizer._values, before)
+        assert optimizer._grads.any()
+        self._step_matches_reference(params, optimizer)
+
+    def test_assign(self, fixtures_dir):
+        model, _ = _toy_setup(fixtures_dir)
+        params = model.parameters()
+        optimizer = Adam(params)
+        target = params[5]
+        target.assign(np.full(target.shape, 0.25))
+        assert np.array_equal(target.data, np.full(target.shape, 0.25))
+        self._step_matches_reference(params, optimizer)
 
 
 def test_warmup_schedule_shape():
