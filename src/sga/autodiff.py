@@ -5,7 +5,16 @@ wraps a row-major numpy array and remembers the operation that produced it;
 :func:`backward` walks that record once, in reverse topological order, and
 accumulates gradients into the :class:`Parameter` leaves it reaches. The op
 set is deliberately small: exactly the pieces the relation encoder and the
-graph encoder are built from.
+graph encoder are built from -- add, sub, mul, div_scalar, matmul,
+matmul_t, matmul_rows, tanh, sigmoid, relu, sum_all, mean_all, sum_last,
+concat_last, take, softmax and layer_norm. There is no transpose or
+reshape op: a weight is stored as (out, in) and the products read it so.
+
+Two ops compute ``a @ w^T``. `matmul_t` is one gemm over the whole batch,
+for the attention and feed-forward layers. `matmul_rows` takes one product
+per row (`row_products`), so a row gets the same bits whatever batch it
+sits in; the composed GRU cell uses it, which is what lets deduplicated
+relation encodings equal lone-path encodings bit for bit.
 
 Tensors are immutable after construction and can be shared freely across
 threads for reading. Gradient accumulation is single-writer: never run two
@@ -25,7 +34,9 @@ Array = np.ndarray
 
 
 def _as_array(values) -> Array:
-    return np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    """A C-contiguous float64 copy of at least one dimension, never a view
+    of the caller's array."""
+    return np.array(values, dtype=np.float64, order="C", ndmin=1)
 
 
 class Tensor:
@@ -189,6 +200,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(A @ B, (a, b), lambda g: (g @ B.T, A.T @ g))
 
 
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """Product of an (r, k) matrix and the transpose of an (m, k) matrix:
+    (r, m). Any other pair of shapes raises a ShapeError naming both."""
+    a, b = lift(a), lift(b)
+    A, B = a.data, b.data
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ShapeError(f"cannot matmul_t shapes {A.shape} and {B.shape}")
+    return Tensor._result(A @ B.T, (a, b), lambda g: (g @ B, g.T @ A))
+
+
 def matmul_rows(a: Tensor, w: Tensor) -> Tensor:
     """Rows of a (B, k) matrix times the transpose of a (m, k) matrix: (B, m),
     batch-invariant (see `row_products`)."""
@@ -197,15 +218,6 @@ def matmul_rows(a: Tensor, w: Tensor) -> Tensor:
     if A.ndim != 2 or W.ndim != 2 or A.shape[1] != W.shape[1]:
         raise ShapeError(f"cannot matmul_rows shapes {A.shape} and {W.shape}")
     return Tensor._result(row_products(A, W), (a, w), lambda g: (g @ W, g.T @ A))
-
-
-def transpose(t: Tensor) -> Tensor:
-    t = lift(t)
-    if t.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {t.shape}")
-    return Tensor._result(
-        np.ascontiguousarray(t.data.T), (t,), lambda g: (np.ascontiguousarray(g.T),)
-    )
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -247,16 +259,6 @@ def sum_last(t: Tensor) -> Tensor:
     return Tensor._result(np.ascontiguousarray(data), (t,), vjp)
 
 
-def reshape(t: Tensor, shape: tuple) -> Tensor:
-    t = lift(t)
-    data = t.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(t.data.shape),)
-
-    return Tensor._result(np.ascontiguousarray(data), (t,), vjp)
-
-
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
     parts = [lift(p) for p in parts]
     if not parts:
@@ -274,10 +276,15 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     return Tensor._result(data, tuple(parts), vjp)
 
 
-def take_rows(t: Tensor, indices) -> Tensor:
-    """Index the first axis with an integer array; gradient scatter-adds."""
+def take(t: Tensor, index) -> Tensor:
+    """Gather by integer index: one array indexes the first axis, a tuple of
+    arrays indexes the leading axes together, broadcast against each other
+    as in numpy. The gradient scatter-adds."""
     t = lift(t)
-    idx = np.asarray(indices, dtype=np.int64)
+    if isinstance(index, tuple):
+        idx = tuple(np.asarray(i, dtype=np.int64) for i in index)
+    else:
+        idx = np.asarray(index, dtype=np.int64)
     data = np.ascontiguousarray(t.data[idx])
 
     def vjp(g):

@@ -11,6 +11,8 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .conllu import DEFAULT_MAX_CHARS
+
 SEED_ENV_VAR = "SGA_SEED"
 
 _TOY_DIMS = dict(d_model=16, d_e=8, d_h=8, n_blocks=2, heads=2, d_ff=32)
@@ -34,7 +36,7 @@ class PipelineConfig:
     d_ff: int = 1024
     seed: int = 0
     use_positions: bool = True
-    max_chars: int = 400
+    max_chars: int = DEFAULT_MAX_CHARS
 
     def __post_init__(self):
         for field in dataclasses.fields(self):

@@ -180,15 +180,13 @@ def to_conllu(tree: DependencyTree) -> str:
 
 
 def align_characters(
-    tree: DependencyTree,
-    separator: str = " ",
-    max_chars: int = DEFAULT_MAX_CHARS,
+    tree: DependencyTree, max_chars: int = DEFAULT_MAX_CHARS
 ) -> CharAlignment:
-    """Render the sentence (words joined by `separator`) and map every
+    """Render the sentence (words joined by single spaces) and map every
     character position back to its word; separator positions map to None."""
     if tree.n == 0:
         raise ValueError("cannot align an empty tree")
-    rendered = separator.join(tree.forms)
+    rendered = " ".join(tree.forms)
     if len(rendered) > max_chars:
         raise ValueError(
             f"rendered sentence has {len(rendered)} characters, exceeding the "
@@ -197,6 +195,6 @@ def align_characters(
     mapping: list[Optional[int]] = []
     for i, form in enumerate(tree.forms, start=1):
         if i > 1:
-            mapping.extend([None] * len(separator))
+            mapping.append(None)
         mapping.extend([i] * len(form))
     return CharAlignment(chars=rendered, char_to_word=tuple(mapping))

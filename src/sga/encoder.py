@@ -39,13 +39,12 @@ from .autodiff import (
     glorot_uniform,
     layer_norm,
     matmul,
+    matmul_t,
     mul,
     relu,
-    reshape,
     softmax,
     sum_last,
-    take_rows,
-    transpose,
+    take,
 )
 from .errors import CoverageError, ShapeError, VocabError
 from .relation import RelationTensor
@@ -260,29 +259,23 @@ def _pair_scores(
     than (n, n) or (n, paths). relations=None returns the content term alone;
     zero encodings add exact zeros to that same term.
     """
-    queries = matmul(x, transpose(head.w_q))  # (n, d_head)
-    keys = matmul(x, transpose(head.w_k))
-    content = matmul(queries, transpose(keys))  # (n, n)
+    queries = matmul_t(x, head.w_q)  # (n, d_head)
+    keys = matmul_t(x, head.w_k)
+    content = matmul_t(queries, keys)  # (n, n)
     if relations is None:
         return content
-    n = x.data.shape[0]
-    paths = relations.encodings.data.shape[0]
+    rows = np.arange(x.data.shape[0])
     top, bottom = np.arange(2 * head.d_model).reshape(2, head.d_model)
-    query_map = matmul(head.w_q, take_rows(head.w_r, top))  # (d_head, 2 d_h)
-    key_map = matmul(head.w_k, take_rows(head.w_r, bottom))
-    rel_queries = matmul(relations.encodings, transpose(query_map))  # (paths, d_head)
-    rel_keys = matmul(relations.encodings, transpose(key_map))
+    query_map = matmul(head.w_q, take(head.w_r, top))  # (d_head, 2 d_h)
+    key_map = matmul(head.w_k, take(head.w_r, bottom))
+    rel_queries = matmul_t(relations.encodings, query_map)  # (paths, d_head)
+    rel_keys = matmul_t(relations.encodings, key_map)
     u = relations.pair_index
-    # Flat offsets into the (n, paths) products: row i or column j, path u_ij.
-    fwd = take_rows(
-        reshape(matmul(queries, transpose(rel_keys)), (n * paths,)),
-        np.arange(n)[:, None] * paths + u,
-    )
-    bwd = take_rows(
-        reshape(matmul(keys, transpose(rel_queries)), (n * paths,)),
-        np.arange(n)[None, :] * paths + u,
-    )
-    relation_only = take_rows(sum_last(mul(rel_queries, rel_keys)), u)
+    # Pair (i, j) reads entry (i, u_ij) of the first (n, paths) product and
+    # entry (j, u_ij) of the second.
+    fwd = take(matmul_t(queries, rel_keys), (rows[:, None], u))
+    bwd = take(matmul_t(keys, rel_queries), (rows[None, :], u))
+    relation_only = take(sum_last(mul(rel_queries, rel_keys)), u)
     return add(add(add(content, fwd), bwd), relation_only)
 
 
@@ -306,7 +299,7 @@ def _multi_head_attention(
     for h, head in enumerate(block.heads):
         scores = _pair_scores(x, relations, head)
         weights = attention_weights(scores, head.d_head)
-        values = matmul(x, transpose(head.w_v))  # (n, d_head)
+        values = matmul_t(x, head.w_v)  # (n, d_head)
         head_outputs.append(matmul(weights, values))
         if collect is not None:
             collect.append(
@@ -317,7 +310,7 @@ def _multi_head_attention(
                     weights=weights.data.copy(),
                 )
             )
-    return matmul(concat_last(head_outputs), transpose(block.w_o))
+    return matmul_t(concat_last(head_outputs), block.w_o)
 
 
 def _block_forward(
@@ -329,8 +322,8 @@ def _block_forward(
 ) -> Tensor:
     attn = _multi_head_attention(x, relations, block, block_index, collect)
     x = layer_norm(add(x, attn), block.norm1_gain, block.norm1_bias, LAYER_NORM_EPS)
-    hidden = relu(add(matmul(x, transpose(block.ffn_w1)), block.ffn_b1))
-    ffn = add(matmul(hidden, transpose(block.ffn_w2)), block.ffn_b2)
+    hidden = relu(add(matmul_t(x, block.ffn_w1), block.ffn_b1))
+    ffn = add(matmul_t(hidden, block.ffn_w2), block.ffn_b2)
     return layer_norm(add(x, ffn), block.norm2_gain, block.norm2_bias, LAYER_NORM_EPS)
 
 
@@ -353,7 +346,7 @@ def _embed(char_ids, stack: EncoderStackParams) -> Tensor:
     bad = ids[(ids < 0) | (ids >= vocab)]
     if bad.size:
         raise VocabError(f"character id {int(bad[0])} outside vocabulary of {vocab}")
-    x = take_rows(stack.char_embedding, ids)
+    x = take(stack.char_embedding, ids)
     if stack.use_positions:
         x = add(x, Tensor(position_signal(ids.size, stack.d_model)))
     return x

@@ -41,10 +41,7 @@ class Sentence:
 
     @classmethod
     def prepare(
-        cls,
-        tree: DependencyTree,
-        char_vocab: dict[str, int],
-        max_chars: int = 400,
+        cls, tree: DependencyTree, char_vocab: dict[str, int], max_chars: int
     ) -> "Sentence":
         alignment = align_characters(tree, max_chars=max_chars)
         graph = build_syntax_graph(tree)

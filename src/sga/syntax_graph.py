@@ -144,6 +144,11 @@ class PathTable:
         return tuple(reversed(out))
 
     def path(self, i: int, j: int) -> RelationPath:
+        """The path from word i to word j (1-based); i == j is the self-loop."""
+        n = self.word_pair.shape[0]
+        for node in (i, j):
+            if not 1 <= node <= n:
+                raise ValueError(f"node {node} out of range 1..{n}")
         return RelationPath(self.labels(self.word_pair[i - 1, j - 1]))
 
     def paths(self) -> list[RelationPath]:
@@ -205,14 +210,6 @@ def path_table(graph: SyntaxGraph) -> PathTable:
     )
 
 
-def shortest_relation_path(graph: SyntaxGraph, i: int, j: int) -> RelationPath:
-    """The relation path from word i to word j; i == j yields the self-loop."""
-    for node in (i, j):
-        if not (1 <= node <= graph.n):
-            raise ValueError(f"node {node} out of range 1..{graph.n}")
-    return path_table(graph).path(i, j)
-
-
 @dataclass(frozen=True)
 class CharRelationMap:
     """The sentence's path table plus the word index of each non-separator
@@ -221,9 +218,6 @@ class CharRelationMap:
     m: int
     word_of_char: tuple[int, ...]
     table: PathTable
-
-    def lookup(self, char_i: int, char_j: int) -> RelationPath:
-        return self.table.path(self.word_of_char[char_i], self.word_of_char[char_j])
 
     def pair_index(self) -> np.ndarray:
         """(m, m) int64: the path id of every ordered character pair."""

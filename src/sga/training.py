@@ -22,11 +22,10 @@ from .autodiff import (
     add,
     backward,
     glorot_uniform,
-    matmul,
+    matmul_t,
     mean_all,
     mul,
     sub,
-    transpose,
 )
 from .errors import NumericError, StateError
 from .pipeline import Model, Sentence
@@ -41,9 +40,10 @@ class Adam:
     Construction copies every value and gradient into one flat buffer each
     and rebinds ``p.data`` and ``p.grad`` to views of that parameter's span,
     so a step is a few whole-buffer operations with the same bits as a
-    per-parameter loop. A step is atomic: if any new value is non-finite it
-    raises NumericError and changes nothing. Once another optimizer has
-    taken over one of the parameters, step and zero_grad raise StateError.
+    per-parameter loop. A step is atomic: if any new value or moment is
+    non-finite it raises NumericError and changes nothing. Once another
+    optimizer has taken over one of the parameters, step and zero_grad raise
+    StateError.
     """
 
     params: list[Parameter]
@@ -98,7 +98,8 @@ class Adam:
         v += (1.0 - b2) * g * g
         update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
         values = self._values - rate * update
-        finite = np.isfinite(values)
+        # v can overflow to inf while the update m / inf = 0 stays finite.
+        finite = np.isfinite(values) & np.isfinite(m) & np.isfinite(v)
         if not finite.all():
             first = int(np.argmin(finite))
             bad = self.params[int(np.searchsorted(self._ends, first, side="right"))]
@@ -152,7 +153,7 @@ class RegressionHead:
         return [self.w, self.b]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, transpose(self.w)), self.b)
+        return add(matmul_t(x, self.w), self.b)
 
 
 def sentence_loss(model: Model, head: RegressionHead, sentence: Sentence,

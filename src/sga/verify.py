@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat_last, mul, sum_all, take_rows
+from .autodiff import Parameter, Tensor, concat_last, mul, sum_all, take
 from .config import PipelineConfig
 from .conllu import DependencyTree, Edge
 from .encoder import (
@@ -179,7 +179,7 @@ def lone_path_encoding(
     def run(cell, seq):
         state = Tensor(np.zeros((1, params.d_h)))
         for i in seq:
-            state = gru_cell_forward(cell, state, take_rows(params.edge_embedding, [i]))
+            state = gru_cell_forward(cell, state, take(params.edge_embedding, [i]))
         return state
 
     return concat_last([run(params.gru_fwd, ids), run(params.gru_bwd, ids[::-1])])

@@ -10,7 +10,7 @@ import pytest
 from sga.config import PipelineConfig
 from sga.conllu import read_conllu
 from sga.pipeline import Model
-from sga.syntax_graph import build_syntax_graph, shortest_relation_path
+from sga.syntax_graph import build_syntax_graph, path_table
 from sga.training import toy_train
 from sga.verify import (
     gradcheck_model,
@@ -173,7 +173,7 @@ def test_criterion_8_flight_fixture_reproduction():
     graph = build_syntax_graph(tree)
     n = tree.n
     non_self = len(graph.edges) - graph.self_loop_count
-    path = shortest_relation_path(graph, 1, 7)
+    path = path_table(graph).path(1, 7)
     ok = (
         n == 8
         and len(graph.edges) == 2 * (n - 1) + n == 22

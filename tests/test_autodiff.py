@@ -15,12 +15,12 @@ from sga.autodiff import (
     logistic,
     matmul,
     matmul_rows,
+    matmul_t,
     mul,
     sigmoid,
     softmax,
     sub,
     sum_all,
-    transpose,
     zero_gradients,
 )
 from sga.errors import NumericError, ShapeError, StateError
@@ -40,6 +40,13 @@ class TestTensor:
         assert t.data.flags["C_CONTIGUOUS"]
         assert t.shape == (2, 2)
         assert t.data.size == 4
+
+    def test_parameter_copies_its_source(self):
+        source = np.zeros(3)
+        p = Parameter("p", source)
+        source[0] = 5.0
+        assert np.array_equal(p.data, np.zeros(3))
+        assert not np.shares_memory(p.data, source)
 
     def test_parameter_assign_validates(self):
         p = Parameter("p", np.zeros((2, 2)))
@@ -76,6 +83,17 @@ class TestMatmul:
         ):
             with pytest.raises(ShapeError, match="cannot matmul"):
                 matmul(Tensor(a), Tensor(b))
+
+
+class TestMatmulT:
+    def test_equals_product_with_transpose(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+        np.testing.assert_allclose(matmul_t(Tensor(a), Tensor(b)).data, a @ b.T, atol=1e-14)
+
+    def test_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"cannot matmul_t shapes \(2, 3\) and \(3, 2\)"):
+            matmul_t(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 class TestMatmulRows:
@@ -259,8 +277,8 @@ class TestCheckGradient:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_composite_ops_match_differences(self, seed):
-        """Linear map, row product, GRU step, and attention score all
-        gradcheck <= 1e-5."""
+        """Linear map, row product, GRU step, attention score and transposed
+        product all gradcheck <= 1e-5."""
         from sga.encoder import AttentionHeadParams
         from sga.gru import GruCellParams, gru_cell_forward
 
@@ -282,14 +300,12 @@ class TestCheckGradient:
         assert report.max_rel_error <= 1e-5
 
         head = AttentionHeadParams.create("head", 4, 2, 3, rng)
-        xi = Tensor(rng.standard_normal((4, 1)))
-        xj = Tensor(rng.standard_normal((4, 1)))
+        xi = Tensor(rng.standard_normal((1, 4)))
+        xj = Tensor(rng.standard_normal((1, 4)))
         score_params = [head.w_q, head.w_k]
 
         def score():
-            q = matmul(head.w_q, xi)
-            k = matmul(head.w_k, xj)
-            return matmul(transpose(q), k)
+            return matmul_t(matmul_t(xi, head.w_q), matmul_t(xj, head.w_k))
 
         report = check_gradient(score, score_params)
         assert report.max_rel_error <= 1e-5
@@ -302,11 +318,14 @@ class TestCheckGradient:
         )
         assert report.max_rel_error <= 1e-5
 
+        a = Parameter("t.a", rng.standard_normal((3, 4)))
+        b = Parameter("t.b", rng.standard_normal((2, 4)))
+        probe = Tensor(rng.standard_normal((3, 2)))
+        report = check_gradient(lambda: sum_all(mul(matmul_t(a, b), probe)), [a, b])
+        assert report.max_rel_error <= 1e-5
 
-def test_transpose_and_sub_roundtrip():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((2, 5))
-    t = transpose(Tensor(m))
-    assert np.array_equal(t.data, m.T)
+
+def test_sub_roundtrip():
+    m = np.random.default_rng(3).standard_normal((2, 5))
     z = sub(Tensor(m), Tensor(m))
     assert np.array_equal(z.data, np.zeros_like(m))

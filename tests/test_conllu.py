@@ -166,7 +166,7 @@ class TestAlignment:
     def test_concatenation_reproduces_rendering(self, seed):
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(1, 10)))
-        alignment = align_characters(tree, separator=" ")
+        alignment = align_characters(tree)
         rebuilt = " ".join(tree.forms)
         assert alignment.chars == rebuilt
         # Per-position ownership is consistent with the words.

@@ -9,7 +9,7 @@ import pytest
 
 from sga import relation, syntax_graph
 from sga.autodiff import (
-    Tensor, _topo_order, backward, concat_last, mul, sum_all, take_rows, transpose,
+    Tensor, _topo_order, backward, concat_last, mul, sum_all, take,
     zero_gradients,
 )
 from sga.conllu import DependencyTree, Edge, align_characters
@@ -243,6 +243,13 @@ class TestEncodePath:
             assert np.array_equal(alone.data[0], row)
 
 
+def concat_rows(parts):
+    """Stack matrices along the first axis; the gradient splits back."""
+    ends = np.cumsum([p.data.shape[0] for p in parts])[:-1]
+    data = np.concatenate([p.data for p in parts])
+    return Tensor._result(data, tuple(parts), lambda g: tuple(np.split(g, ends)))
+
+
 def composed_encoding(paths, params, vocab):
     """The relation encoder built from composed autodiff ops: one
     `gru_cell_forward` per path length and direction on the level tensors,
@@ -256,14 +263,14 @@ def composed_encoding(paths, params, vocab):
 
     def run(cell, parent, label_ids):
         state = Tensor(np.zeros((1, params.d_h)))
-        columns, previous = [], 0
+        states, previous = [], 0
         for level in levels:
-            parents = take_rows(state, rank[parent[level]] - previous)
-            x = take_rows(params.edge_embedding, label_ids[level])
+            parents = take(state, rank[parent[level]] - previous)
+            x = take(params.edge_embedding, label_ids[level])
             state = gru_cell_forward(cell, parents, x)
-            columns.append(transpose(state))
+            states.append(state)
             previous = rank[level[0]]
-        return take_rows(transpose(concat_last(columns)), rank[:-1])
+        return take(concat_rows(states), rank[:-1])
 
     return concat_last([
         run(params.gru_fwd, paths.prefix, last), run(params.gru_bwd, paths.suffix, first)
@@ -342,7 +349,8 @@ class TestDistinctBatch:
         scattered = rel.encodings.data[rel.pair_index]
         for ci in range(0, cmap.m, 5):
             for cj in range(0, cmap.m, 7):
-                naive = lone_path_encoding(cmap.lookup(ci, cj).labels, params, vocab)
+                path = cmap.table.path(cmap.word_of_char[ci], cmap.word_of_char[cj])
+                naive = lone_path_encoding(path.labels, params, vocab)
                 assert np.array_equal(naive.data[0], scattered[ci, cj])
 
 

@@ -18,7 +18,6 @@ from sga.syntax_graph import (
     graph_to_dot,
     graph_to_json,
     path_table,
-    shortest_relation_path,
 )
 from sga.verify import lca_walk, lca_walk_path, random_tree, tree_distance
 
@@ -27,6 +26,10 @@ TWO_WORD = DependencyTree(("Dogs", "bark"), (Edge(2, 1, "nsubj"),), 2)
 
 def keys(path):
     return [label.key for label in path.labels]
+
+
+def char_path(cmap, ci, cj):
+    return cmap.table.path(cmap.word_of_char[ci], cmap.word_of_char[cj])
 
 
 class TestBuildGraph:
@@ -61,32 +64,32 @@ class TestBuildGraph:
 class TestShortestPath:
     def test_self_pair(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
-        path = shortest_relation_path(graph, 3, 3)
+        path = path_table(graph).path(3, 3)
         assert path.labels == (SELF_LOOP,)
 
     def test_adjacent_pairs(self):
         graph = build_syntax_graph(TWO_WORD)
-        assert keys(shortest_relation_path(graph, 2, 1)) == ["nsubj:fwd"]
-        assert keys(shortest_relation_path(graph, 1, 2)) == ["nsubj:rev"]
+        assert keys(path_table(graph).path(2, 1)) == ["nsubj:fwd"]
+        assert keys(path_table(graph).path(1, 2)) == ["nsubj:rev"]
 
     def test_flight_i_to_denver(self, flight_tree):
         # I -> prefer -> flight -> Denver, three hops.
         graph = build_syntax_graph(flight_tree)
-        path = shortest_relation_path(graph, 1, 7)
+        path = path_table(graph).path(1, 7)
         assert keys(path) == ["nsubj:rev", "obj:fwd", "nmod:fwd"]
         assert len(path) == 3
 
-    def test_out_of_range(self):
-        graph = build_syntax_graph(TWO_WORD)
-        with pytest.raises(ValueError):
-            shortest_relation_path(graph, 0, 1)
-        with pytest.raises(ValueError):
-            shortest_relation_path(graph, 1, 3)
+    def test_out_of_range(self, flight_tree):
+        """Word 0 would otherwise read path(8, 1) through a negative index."""
+        table = path_table(build_syntax_graph(flight_tree))
+        for i, j, bad in ((0, 1, 0), (1, 9, 9), (-1, 2, -1)):
+            with pytest.raises(ValueError, match=rf"node {bad} out of range 1\.\.8"):
+                table.path(i, j)
 
     def test_disconnected_words_have_no_path(self):
         graph = build_syntax_graph(DependencyTree(("a", "b"), (), 1))
         with pytest.raises(ValueError, match="no path from 1 to 2"):
-            shortest_relation_path(graph, 1, 1)
+            path_table(graph)
 
 
 class TestPathProperties:
@@ -95,28 +98,28 @@ class TestPathProperties:
     def test_reversal_and_length_and_oracle(self, seed):
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(1, 15)))
-        graph = build_syntax_graph(tree)
+        table = path_table(build_syntax_graph(tree))
         for _ in range(8):
             i = int(rng.integers(1, tree.n + 1))
             j = int(rng.integers(1, tree.n + 1))
-            path = shortest_relation_path(graph, i, j)
+            path = table.path(i, j)
             oracle_labels, oracle_nodes = lca_walk(tree, i, j)
             assert keys(path) == [l.key for l in oracle_labels]
-            back = shortest_relation_path(graph, j, i)
+            back = table.path(j, i)
             assert keys(back) == [l.flipped().key for l in reversed(path.labels)]
             if i != j:
                 assert len(path) == tree_distance(tree, i, j)
                 if len(oracle_nodes) > 2:
                     k = oracle_nodes[int(rng.integers(1, len(oracle_nodes) - 1))]
-                    first = shortest_relation_path(graph, i, k)
-                    second = shortest_relation_path(graph, k, j)
+                    first = table.path(i, k)
+                    second = table.path(k, j)
                     assert keys(first) + keys(second) == keys(path)
 
     def test_self_loops_never_interior(self, flight_tree):
-        graph = build_syntax_graph(flight_tree)
+        table = path_table(build_syntax_graph(flight_tree))
         for i in range(1, 9):
             for j in range(1, 9):
-                path = shortest_relation_path(graph, i, j)
+                path = table.path(i, j)
                 if i == j:
                     assert path.labels == (SELF_LOOP,)
                 else:
@@ -130,7 +133,7 @@ class TestCharacterExpansion:
         assert cmap.m == 2
         for ci in range(2):
             for cj in range(2):
-                assert cmap.lookup(ci, cj).labels == (SELF_LOOP,)
+                assert char_path(cmap, ci, cj).labels == (SELF_LOOP,)
 
     def test_same_word_chars_share_the_path_object(self):
         tree = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
@@ -138,7 +141,7 @@ class TestCharacterExpansion:
         # chars: a(0) b(1) of word 1, c(2) of word 2
         pairs = cmap.pair_index()
         assert pairs[0, 2] == pairs[1, 2]
-        assert cmap.lookup(0, 2).labels == cmap.lookup(1, 2).labels
+        assert char_path(cmap, 0, 2).labels == char_path(cmap, 1, 2).labels
 
     def test_flight_fixture_counts(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
@@ -168,10 +171,10 @@ class TestCharacterExpansion:
             by_word.setdefault(word, []).append(pos)
         pairs = cmap.pair_index()
         for positions in by_word.values():
-            first = cmap.lookup(positions[0], target)
+            first = char_path(cmap, positions[0], target)
             for pos in positions[1:]:
                 assert pairs[pos, target] == pairs[positions[0], target]
-                assert cmap.lookup(pos, target) == first
+                assert char_path(cmap, pos, target) == first
 
 
 class TestDistinctPaths:
@@ -208,7 +211,7 @@ class TestDistinctPaths:
             for cj in range(cmap.m):
                 wi, wj = cmap.word_of_char[ci], cmap.word_of_char[cj]
                 assert unique[table[ci, cj]].key == oracle(wi, wj)
-                assert cmap.lookup(ci, cj).key == oracle(wi, wj)
+                assert char_path(cmap, ci, cj).key == oracle(wi, wj)
 
 
 class TestPathTable:

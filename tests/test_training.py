@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sga.autodiff import Parameter, Tensor, backward, mul, sub, sum_all
+from sga.autodiff import Parameter, Tensor, _topo_order, backward, mul, sub, sum_all
 from sga.config import PipelineConfig
 from sga.conllu import read_conllu
 from sga.errors import NumericError, StateError
@@ -54,7 +54,7 @@ def _flat(arrays):
 def _copies(params):
     out = []
     for p in params:
-        copy = Parameter(p.name, p.data.copy())  # Parameter keeps the array it is given
+        copy = Parameter(p.name, p.data)
         copy.grad[...] = p.grad
         out.append(copy)
     return out
@@ -89,6 +89,33 @@ class TestAdamStorage:
         optimizer.step()
         np.testing.assert_allclose(c.data, -0.01, rtol=1e-8)
         assert optimizer.step_count == 1
+
+    def test_overflowing_second_moment_changes_nothing(self):
+        """g = 1e200 overflows (1 - beta2) g^2 to inf while the update
+        m / inf stays finite; committing v = inf would freeze w for good."""
+        w = Parameter("w", np.zeros(2))
+        optimizer = Adam([w])
+        w.grad[...] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="'w'"):
+            optimizer.step()
+        assert np.array_equal(w.data, np.zeros(2))
+        assert optimizer.step_count == 0
+        assert not optimizer._m.any() and not optimizer._v.any()
+        w.grad[...] = 1.0
+        for _ in range(5):
+            optimizer.step()
+        np.testing.assert_allclose(w.data, -0.05, rtol=1e-8)
+
+    def test_parameter_built_from_a_stepped_value_owns_its_storage(self):
+        p = Parameter("p", np.zeros(2))
+        optimizer = Adam([p])
+        q = Parameter("q", p.data)
+        assert not np.shares_memory(q.data, optimizer._values)
+        q.assign(np.ones(2))
+        assert np.array_equal(p.data, np.zeros(2))
+        p.grad[...] = 1.0
+        optimizer.step()
+        assert np.array_equal(q.data, np.ones(2))
 
     @pytest.mark.parametrize("shapes", [((2,), (2,)), ((2,), (3,))])
     def test_same_name_parameters_keep_their_own_moments(self, shapes):
@@ -134,6 +161,20 @@ class TestAdamStorage:
         assert np.array_equal(optimizer._grads, np.ones(2))
         optimizer.zero_grad()
         assert not w.grad.any()
+
+
+def test_loss_tape_reads_weights_as_stored(fixtures_dir):
+    """One toy loss on the flight fixture records no node that only
+    transposes its single parent, and at most 183 nodes."""
+    (tree,) = read_conllu((fixtures_dir / "flight.conllu").read_text())
+    model = Model.create(PipelineConfig.toy(seed=0), [tree])
+    head = RegressionHead.create(model.config.d_model, 4, np.random.default_rng(1))
+    sentence = model.prepare(tree)
+    nodes = _topo_order(sentence_loss(model, head, sentence, pseudo_targets(sentence)))
+    for node in nodes:
+        if len(node._parents) == 1 and node.data.ndim == 2:
+            assert not np.array_equal(node.data, node._parents[0].data.T)
+    assert len(nodes) <= 183
 
 
 def _trainable(fixtures_dir, seed=0):
