@@ -6,15 +6,20 @@ wraps a row-major numpy array and remembers the operation that produced it;
 accumulates gradients into the :class:`Parameter` leaves it reaches. The op
 set is deliberately small: exactly the pieces the relation encoder and the
 graph encoder are built from -- add, sub, mul, div_scalar, matmul,
-matmul_t, matmul_rows, tanh, sigmoid, relu, sum_all, mean_all, sum_last,
-concat_last, take, softmax and layer_norm. There is no transpose or
-reshape op: a weight is stored as (out, in) and the products read it so.
+matmul_t, matmul_rows, tanh, sigmoid, relu, sum_all, mean_all,
+concat_last, take and layer_norm. There is no transpose or reshape op: a
+weight is stored as (out, in) and the products read it so. The two largest
+pieces are fused ops built on `Tensor._result` with hand-written backward
+passes, next to the code they belong to: each direction of the relation
+GRU (`relation._final_states`) and each attention sublayer
+(`encoder._multi_head_attention`). They compute with the array kernels
+below: `row_products` and `logistic` for the GRU, `softmax` for attention.
 
 Two ops compute ``a @ w^T``. `matmul_t` is one gemm over the whole batch,
-for the attention and feed-forward layers. `matmul_rows` takes one product
-per row (`row_products`), so a row gets the same bits whatever batch it
-sits in; the composed GRU cell uses it, which is what lets deduplicated
-relation encodings equal lone-path encodings bit for bit.
+for the feed-forward layers and the regression head. `matmul_rows` takes
+one product per row (`row_products`), so a row gets the same bits whatever
+batch it sits in; the composed GRU cell uses it, which is what lets
+deduplicated relation encodings equal lone-path encodings bit for bit.
 
 Tensors are immutable after construction and can be shared freely across
 threads for reading. Gradient accumulation is single-writer: never run two
@@ -116,7 +121,7 @@ def zero_gradients(params: Iterable[Parameter]) -> None:
 
 # ---------------------------------------------------------------------------
 # Array kernels shared by the ops below and by fused ops built on
-# Tensor._result (the relation encoder's GRU levels).
+# Tensor._result (the relation encoder's GRU levels, the attention sublayer).
 # ---------------------------------------------------------------------------
 
 
@@ -132,6 +137,21 @@ def logistic(x: Array) -> Array:
     """Sigmoid without overflow: exp only ever sees -|x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softmax(x: Array, scale: float = 1.0) -> Array:
+    """Softmax of x / scale over the last axis, max-shifted so exp never
+    overflows; rows of a matrix are normalized independently. Rejects empty
+    input and a scale that is not positive."""
+    if not scale > 0.0:
+        raise ValueError("softmax scale must be positive")
+    if x.size == 0 or x.shape[-1] == 0:
+        raise ValueError("softmax of empty input")
+    z = x / scale
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +269,6 @@ def mean_all(t: Tensor) -> Tensor:
     return div_scalar(sum_all(t), float(t.data.size))
 
 
-def sum_last(t: Tensor) -> Tensor:
-    t = lift(t)
-    data = t.data.sum(axis=-1)
-
-    def vjp(g):
-        return (np.broadcast_to(g[..., None], t.data.shape),)
-
-    return Tensor._result(np.ascontiguousarray(data), (t,), vjp)
-
-
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
     parts = [lift(p) for p in parts]
     if not parts:
@@ -277,14 +287,9 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
 
 
 def take(t: Tensor, index) -> Tensor:
-    """Gather by integer index: one array indexes the first axis, a tuple of
-    arrays indexes the leading axes together, broadcast against each other
-    as in numpy. The gradient scatter-adds."""
+    """Gather rows by integer index; the gradient scatter-adds."""
     t = lift(t)
-    if isinstance(index, tuple):
-        idx = tuple(np.asarray(i, dtype=np.int64) for i in index)
-    else:
-        idx = np.asarray(index, dtype=np.int64)
+    idx = np.asarray(index, dtype=np.int64)
     data = np.ascontiguousarray(t.data[idx])
 
     def vjp(g):
@@ -293,26 +298,6 @@ def take(t: Tensor, index) -> Tensor:
         return (full,)
 
     return Tensor._result(data, (t,), vjp)
-
-
-def softmax(t: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction.
-
-    For a 1-D input this is the plain softmax of the vector; rows of a
-    matrix are normalized independently. Rejects empty input.
-    """
-    t = lift(t)
-    if t.data.size == 0 or t.data.shape[-1] == 0:
-        raise ValueError("softmax of empty input")
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return Tensor._result(out, (t,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

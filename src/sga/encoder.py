@@ -8,11 +8,16 @@ biases to the content vectors before the query/key projections:
 where [fwd_ij; bwd_ij] = W_r r_ij splits the projected relation encoding of
 the pair's path. The score expands into four addressing terms -- pure
 content, a forward relation bias, a backward relation bias, and a
-relation-only term -- stated per pair by `syntax_score_terms`. The layer
-computes the same four terms for all pairs at once. It folds each half of
-W_r into its projection, Wq W_r,top and Wk W_r,bottom, so a relation
-encoding maps straight to a d_head-wide query and key, once per distinct
-path, gathered per pair. With zero relation encodings the score reduces
+relation-only term -- stated per pair by `syntax_score_terms`. Each block's
+attention sublayer is one autodiff op with a hand-written backward pass
+(`_multi_head_attention`): it computes the four terms for every head and
+pair at once, then the scaled softmax, the value product and the output
+projection. It folds each half of W_r into its projection, Wq W_r,top and
+Wk W_r,bottom, so a relation encoding maps straight to a d_head-wide query
+and key, once per distinct path, gathered per pair. The per-pair functions
+below (`baseline_score`, `syntax_score`, `syntax_score_terms`) state the
+same scores unfolded, one pair at a time; they are the layer's oracles in
+`verify` and the tests. With zero relation encodings the score reduces
 exactly to the plain dot-product attention, and the whole encoder reduces to
 a plain transformer encoder; `encoder_forward` with relations=None runs that
 reference path on the same parameters.
@@ -34,16 +39,11 @@ from .autodiff import (
     Parameter,
     Tensor,
     add,
-    concat_last,
-    div_scalar,
     glorot_uniform,
     layer_norm,
-    matmul,
     matmul_t,
-    mul,
     relu,
     softmax,
-    sum_last,
     take,
 )
 from .errors import CoverageError, ShapeError, VocabError
@@ -230,53 +230,9 @@ def syntax_score_terms(
     )
 
 
-def attention_weights(scores, d: int):
-    """Row-wise softmax of scores / sqrt(d); each row sums to one."""
-    if d <= 0:
-        raise ValueError("scaling dimension must be positive")
-    t = scores if isinstance(scores, Tensor) else Tensor(scores)
-    if t.data.ndim != 2:
-        raise ShapeError(f"scores must be a matrix, got shape {t.shape}")
-    out = softmax(div_scalar(t, math.sqrt(d)))
-    return out if isinstance(scores, Tensor) else out.data
-
-
 # ---------------------------------------------------------------------------
 # Vectorized layer and stack
 # ---------------------------------------------------------------------------
-
-
-def _pair_scores(
-    x: Tensor, relations: Optional[RelationTensor], head: AttentionHeadParams
-) -> Tensor:
-    """All-pairs scores for one head as an (n, n) tensor: the sum of the four
-    addressing terms of `syntax_score_terms`.
-
-    Each relation term is computed once per distinct path and gathered per
-    pair through the pair table (Shaw et al. 2018, section 3.3). W_r's
-    forward half is folded into Wq and its backward half into Wk, so the
-    encodings project straight to (paths, d_head) and no operand is larger
-    than (n, n) or (n, paths). relations=None returns the content term alone;
-    zero encodings add exact zeros to that same term.
-    """
-    queries = matmul_t(x, head.w_q)  # (n, d_head)
-    keys = matmul_t(x, head.w_k)
-    content = matmul_t(queries, keys)  # (n, n)
-    if relations is None:
-        return content
-    rows = np.arange(x.data.shape[0])
-    top, bottom = np.arange(2 * head.d_model).reshape(2, head.d_model)
-    query_map = matmul(head.w_q, take(head.w_r, top))  # (d_head, 2 d_h)
-    key_map = matmul(head.w_k, take(head.w_r, bottom))
-    rel_queries = matmul_t(relations.encodings, query_map)  # (paths, d_head)
-    rel_keys = matmul_t(relations.encodings, key_map)
-    u = relations.pair_index
-    # Pair (i, j) reads entry (i, u_ij) of the first (n, paths) product and
-    # entry (j, u_ij) of the second.
-    fwd = take(matmul_t(queries, rel_keys), (rows[:, None], u))
-    bwd = take(matmul_t(keys, rel_queries), (rows[None, :], u))
-    relation_only = take(sum_last(mul(rel_queries, rel_keys)), u)
-    return add(add(add(content, fwd), bwd), relation_only)
 
 
 def _check_relations(relations: RelationTensor, n: int) -> None:
@@ -295,22 +251,120 @@ def _multi_head_attention(
     block_index: int = 0,
     collect: Optional[list[AttentionMap]] = None,
 ) -> Tensor:
-    head_outputs = []
-    for h, head in enumerate(block.heads):
-        scores = _pair_scores(x, relations, head)
-        weights = attention_weights(scores, head.d_head)
-        values = matmul_t(x, head.w_v)  # (n, d_head)
-        head_outputs.append(matmul(weights, values))
-        if collect is not None:
-            collect.append(
-                AttentionMap(
-                    block=block_index,
-                    head=h,
-                    scores=scores.data.copy(),
-                    weights=weights.data.copy(),
-                )
+    """One attention sublayer, every head at once, as one autodiff op on x,
+    the relation encodings, each head's w_q, w_k, w_v and w_r, and w_o.
+
+    The score of each head is the sum of the four addressing terms of
+    `syntax_score_terms`. W_r's forward half is folded into Wq and its
+    backward half into Wk, so the encodings project straight to (paths,
+    d_head) relation queries and keys. The two relation bias terms are
+    (heads, n, paths) products, read per pair through one flat index,
+    row * paths + path (Shaw et al. 2018, section 3.3). The backward pass
+    scatters into them with `np.bincount`; it keeps the weights P, the
+    queries, keys and values, the relation queries and keys and the folded
+    maps, but not the products. relations=None computes the content term
+    alone, with the same code; zero encodings add exact zeros to it.
+    """
+    heads = block.heads
+    with_relations = relations is not None
+    H, d_head = len(heads), heads[0].d_head
+    X, w_o = x.data, block.w_o.data
+    n, d_model = X.shape
+    # Rows [q heads, k heads, v heads], so one gemm projects all three.
+    w_qkv = np.concatenate(
+        [getattr(h, name).data for name in ("w_q", "w_k", "w_v") for h in heads]
+    )
+    qkv = np.ascontiguousarray(
+        (X @ w_qkv.T).reshape(n, 3, H, d_head).transpose(1, 2, 0, 3)
+    )
+    Q, K, V = qkv  # (H, n, d_head) each
+    S = Q @ K.transpose(0, 2, 1)  # content term, (H, n, n)
+    if with_relations:
+        E = relations.encodings.data
+        U = E.shape[0]
+        u = relations.pair_index
+        w_q, w_k = w_qkv.reshape(3, H, d_head, d_model)[:2]
+        w_r = np.stack([h.w_r.data for h in heads])  # (H, 2 d_model, 2 d_h)
+        top, bottom = w_r[:, :d_model], w_r[:, d_model:]
+        maps = np.stack([w_q @ top, w_k @ bottom])  # (2, H, d_head, 2 d_h)
+        rel_q, rel_k = E @ maps.transpose(0, 1, 3, 2)  # (H, U, d_head) each
+        # Pair (i, j) reads entry (i, u_ij) of Q RK^T and entry (j, u_ij) of
+        # K RQ^T, each through a flat index into its (n, U) rows.
+        rows = np.arange(n) * U
+        fwd_index = rows[:, None] + u
+        bwd_index = rows + u
+        fwd = Q @ rel_k.transpose(0, 2, 1)  # (H, n, U)
+        bwd = K @ rel_q.transpose(0, 2, 1)
+        S += np.take(fwd.reshape(H, -1), fwd_index, axis=1)
+        S += np.take(bwd.reshape(H, -1), bwd_index, axis=1)
+        S += np.take((rel_q * rel_k).sum(axis=-1), u, axis=1)
+    scale = math.sqrt(d_head)
+    P = softmax(S, scale)
+    heads_out = (P @ V).transpose(1, 0, 2).reshape(n, d_model)
+    if collect is not None:
+        collect.extend(
+            AttentionMap(block_index, h, S[h].copy(), P[h].copy()) for h in range(H)
+        )
+
+    def vjp(g):
+        d_out = (g @ w_o).reshape(n, H, d_head).transpose(1, 0, 2)
+        d_s = d_out @ V.transpose(0, 2, 1)  # through P V, then the softmax
+        d_s -= (d_s * P).sum(axis=-1, keepdims=True)
+        d_s *= P
+        d_s /= scale
+        d_qkv = np.empty_like(qkv)
+        d_qkv[0] = d_s @ K
+        d_qkv[1] = d_s.transpose(0, 2, 1) @ Q
+        d_qkv[2] = P.transpose(0, 2, 1) @ d_out
+        if with_relations:
+            # One scatter into the cells of both (H, n, U) products and the
+            # (H, U) relation-only term, in that order.
+            heads_at = np.arange(H)[:, None, None]
+            cells = np.concatenate([
+                (heads_at * (n * U) + fwd_index).ravel(),
+                (heads_at * (n * U) + bwd_index + H * n * U).ravel(),
+                (heads_at * U + u + 2 * H * n * U).ravel(),
+            ])
+            d_cells = np.bincount(
+                cells, np.tile(d_s.ravel(), 3), (2 * n + 1) * H * U
             )
-    return matmul_t(concat_last(head_outputs), block.w_o)
+            d_fwd, d_bwd = d_cells[: 2 * H * n * U].reshape(2, H, n, U)
+            d_pair = d_cells[2 * H * n * U :].reshape(H, U, 1)
+            d_qkv[0] += d_fwd @ rel_k
+            d_qkv[1] += d_bwd @ rel_q
+            d_rel = np.stack([
+                d_bwd.transpose(0, 2, 1) @ K + d_pair * rel_k,
+                d_fwd.transpose(0, 2, 1) @ Q + d_pair * rel_q,
+            ])  # (2, H, U, d_head): relation queries, relation keys
+            d_e = d_rel.transpose(2, 0, 1, 3).reshape(U, -1) @ maps.reshape(
+                -1, maps.shape[-1]
+            )
+            d_maps = d_rel.transpose(0, 1, 3, 2) @ E
+            d_w_r = np.concatenate(
+                [w_q.transpose(0, 2, 1) @ d_maps[0], w_k.transpose(0, 2, 1) @ d_maps[1]],
+                axis=1,
+            )
+        d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, -1)
+        d_w = (d_proj.T @ X).reshape(3, H, d_head, d_model)
+        grads = [d_proj @ w_qkv]
+        if with_relations:
+            d_w[0] += d_maps[0] @ top.transpose(0, 2, 1)
+            d_w[1] += d_maps[1] @ bottom.transpose(0, 2, 1)
+            grads.append(d_e)
+        for h in range(H):
+            grads.extend(d_w[:, h])
+            if with_relations:
+                grads.append(d_w_r[h])
+        grads.append(g.T @ heads_out)
+        return tuple(grads)
+
+    parents = [x]
+    if with_relations:
+        parents.append(relations.encodings)
+    for head in heads:
+        parents.extend(head.parameters() if with_relations else head.parameters()[:3])
+    parents.append(block.w_o)
+    return Tensor._result(heads_out @ w_o.T, tuple(parents), vjp)
 
 
 def _block_forward(

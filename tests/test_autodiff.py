@@ -137,20 +137,20 @@ class TestSigmoid:
 
 class TestSoftmax:
     def test_symmetric_input(self):
-        out = softmax(Tensor([1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        out = softmax(np.array([1.0, 1.0, 1.0]))
+        np.testing.assert_allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_singleton(self):
-        assert np.array_equal(softmax(Tensor([0.0])).data, [1.0])
+        assert np.array_equal(softmax(np.array([0.0])), [1.0])
 
     def test_closed_form_exponentials(self):
         # exp(0) = 1 and exp(ln 2) = 2, so the weights are 1/3 and 2/3.
-        out = softmax(Tensor([0.0, math.log(2.0)]))
-        np.testing.assert_allclose(out.data, [1 / 3, 2 / 3], atol=1e-15)
+        out = softmax(np.array([0.0, math.log(2.0)]))
+        np.testing.assert_allclose(out, [1 / 3, 2 / 3], atol=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            softmax(Tensor(np.zeros(0)))
+            softmax(np.zeros(0))
 
     @given(
         st.lists(
@@ -160,7 +160,7 @@ class TestSoftmax:
         )
     )
     def test_sums_to_one_and_positive(self, values):
-        out = softmax(Tensor(values)).data
+        out = softmax(np.array(values))
         assert abs(out.sum() - 1.0) <= 1e-12
         assert np.all(out > 0)
 
@@ -171,8 +171,8 @@ class TestSoftmax:
     def test_shift_invariance_bitwise_on_integers(self, values, c):
         # Small integers shift exactly in float64, so max-subtraction yields
         # bit-identical inputs to exp.
-        base = softmax(Tensor([float(v) for v in values])).data
-        shifted = softmax(Tensor([float(v + c) for v in values])).data
+        base = softmax(np.array(values, dtype=float))
+        shifted = softmax(np.array(values, dtype=float) + c)
         assert np.array_equal(base, shifted)
 
     @given(
@@ -184,8 +184,8 @@ class TestSoftmax:
         st.floats(min_value=-30, max_value=30, allow_nan=False),
     )
     def test_shift_invariance_tolerance(self, values, c):
-        base = softmax(Tensor(values)).data
-        shifted = softmax(Tensor([v + c for v in values])).data
+        base = softmax(np.array(values))
+        shifted = softmax(np.array([v + c for v in values]))
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
@@ -323,6 +323,40 @@ class TestCheckGradient:
         probe = Tensor(rng.standard_normal((3, 2)))
         report = check_gradient(lambda: sum_all(mul(matmul_t(a, b), probe)), [a, b])
         assert report.max_rel_error <= 1e-5
+
+    @pytest.mark.parametrize("with_relations", [True, False], ids=["relations", "content"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention_sublayer_matches_differences(self, seed, with_relations):
+        """The fused attention sublayer gradchecks <= 1e-5 for every parent:
+        x, the encodings, each head's four weights and w_o. d_model 12,
+        2 d_h 10 and d_head 4 all differ, and 36 pairs share 3 paths, so the
+        backward scatter sums many pairs into each cell."""
+        from sga.encoder import EncoderBlockParams, _multi_head_attention
+        from sga.relation import RelationTensor
+
+        rng = np.random.default_rng(seed)
+        block = EncoderBlockParams.create("blk", 12, 3, 8, 5, rng)
+        n, paths = 6, 3
+        x = Parameter("x", rng.standard_normal((n, 12)))
+        params = [x]
+        relations = None
+        if with_relations:
+            relations = RelationTensor(
+                encodings=Parameter("enc", rng.standard_normal((paths, 10))),
+                pair_index=rng.integers(0, paths, (n, n)),
+                char_map=None,
+            )
+            params.append(relations.encodings)
+        for head in block.heads:
+            params.extend(head.parameters())
+        params.append(block.w_o)
+        probe = Tensor(rng.standard_normal((n, 12)))
+
+        def loss():
+            return sum_all(mul(_multi_head_attention(x, relations, block), probe))
+
+        report = check_gradient(loss, params)
+        assert report.max_rel_error <= 1e-5, report.worst()
 
 
 def test_sub_roundtrip():

@@ -2,17 +2,17 @@
 encoder stack reductions."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from sga.autodiff import Parameter, Tensor, lift
+from sga.autodiff import Parameter, Tensor, lift, softmax
 from sga.config import PipelineConfig
 from sga.conllu import DependencyTree, Edge
 from sga.encoder import (
     AttentionHeadParams,
     LAYER_NORM_EPS,
-    attention_weights,
     baseline_score,
     encoder_forward,
     position_signal,
@@ -20,7 +20,6 @@ from sga.encoder import (
     syntax_score_terms,
     _check_relations,
     _multi_head_attention,
-    _pair_scores,
 )
 from sga.errors import CoverageError, ShapeError, VocabError
 from sga.pipeline import Model
@@ -119,6 +118,11 @@ class TestSyntaxScore:
             )
 
 
+def attention_weights(scores, d):
+    """Row-wise softmax of scores / sqrt(d), as the attention layer takes it."""
+    return softmax(scores, math.sqrt(d))
+
+
 class TestAttentionWeights:
     def test_equal_scores_give_uniform_rows(self):
         out = attention_weights(np.zeros((4, 4)), d=16)
@@ -143,14 +147,10 @@ class TestAttentionWeights:
         assert np.all(out >= 0) and np.all(out <= 1)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scale must be positive"):
             attention_weights(np.zeros((2, 2)), d=0)
-        with pytest.raises(ShapeError):
-            attention_weights(np.zeros(3), d=2)
-
-    def test_tensor_input_returns_tensor(self):
-        out = attention_weights(Tensor(np.zeros((2, 2))), d=4)
-        assert isinstance(out, Tensor)
+        with pytest.raises(ValueError, match="empty"):
+            attention_weights(np.zeros((2, 0)), d=2)
 
 
 class TestGraphAttentionLayer:
@@ -173,8 +173,13 @@ class TestGraphAttentionLayer:
         # d_model 12, 2 d_h 10 and d_head 4 all differ, so a fold of W_r into
         # Wq and Wk that mixes up its axes or halves cannot pass.
         + [(random_sentence_tree(np.random.default_rng(0)),
-            {"d_model": 12, "d_e": 3, "d_h": 5, "heads": 3})],
-        ids=["chain", "random0", "random1", "random2", "random0-non-square"],
+            {"d_model": 12, "d_e": 3, "d_h": 5, "heads": 3})]
+        # One character in one word: n = 1 and a single path.
+        + [(DependencyTree(("a",), (), 1), {})]
+        # As many heads as model dimensions: d_head = 1.
+        + [(random_sentence_tree(np.random.default_rng(1)), {"heads": 8})],
+        ids=["chain", "random0", "random1", "random2", "random0-non-square",
+             "one-char", "d_head-1"],
     )
     def test_triple_loop_oracle(self, tree, dims):
         """Vectorized layer vs an explicit per-pair, per-head recomputation
@@ -302,12 +307,12 @@ class TestEncoderForward:
         )
         model = Model.create(config, [CHAIN])
         sentence = model.prepare(CHAIN)
-        out = model.forward(sentence)
         expected = (
             model.stack.char_embedding.data[sentence.char_ids]
             + position_signal(sentence.n_chars, 8)
         )
-        assert np.array_equal(out.data, expected)
+        assert np.array_equal(model.forward(sentence).data, expected)
+        assert np.array_equal(model.forward(sentence, baseline=True).data, expected)
 
     def test_zero_relations_reduce_to_baseline_bitwise(self):
         model = toy_model(seed=21)
@@ -403,22 +408,24 @@ class TestEncoderForward:
 
     def test_relation_sensitivity_of_scores(self):
         """Redirecting one pair to a different path changes that pair's score
-        and no other."""
+        and no other, in the scores the first block collects."""
         model = toy_model(seed=66)
         sentence = model.prepare(CHAIN)
         rel = model.encode_relations(sentence)
-        head = model.stack.blocks[0].heads[0]
-        x = Tensor(np.random.default_rng(1).standard_normal((sentence.n_chars, 8)))
-        before = _pair_scores(x, rel, head).data
 
+        def first_scores(relations):
+            _, maps = encoder_forward(
+                sentence.char_ids, relations, model.stack, collect_attention=True
+            )
+            return maps[0].scores
+
+        before = first_scores(rel)
         i, j = 0, 3
         current = rel.pair_index[i, j]
         replacement = (current + 1) % rel.encodings.data.shape[0]
         new_index = rel.pair_index.copy()
         new_index[i, j] = replacement
-        after = _pair_scores(
-            x, dataclasses.replace(rel, pair_index=new_index), head
-        ).data
+        after = first_scores(dataclasses.replace(rel, pair_index=new_index))
 
         assert after[i, j] != before[i, j]
         mask = np.ones_like(before, dtype=bool)
