@@ -5,13 +5,13 @@ wraps a row-major numpy array and remembers the operation that produced it;
 :func:`backward` walks that record once, in reverse topological order, and
 accumulates gradients into the :class:`Parameter` leaves it reaches. The op
 set is deliberately small: exactly the pieces the relation encoder and the
-graph encoder are built from -- add, sub, mul, div_scalar, matmul,
-matmul_t, matmul_rows, tanh, sigmoid, relu, sum_all, mean_all,
-concat_last, take and layer_norm. There is no transpose or reshape op: a
-weight is stored as (out, in) and the products read it so. The two largest
-pieces are fused ops built on `Tensor._result` with hand-written backward
-passes, next to the code they belong to: each direction of the relation
-GRU (`relation._final_states`) and each attention sublayer
+graph encoder are built from -- add, sub, mul, div_scalar, matmul_t,
+matmul_rows, tanh, sigmoid, relu, sum_all, mean_all, concat_last, take and
+layer_norm. There is no transpose or reshape op: a weight is stored as
+(out, in) and the products read it so. The two largest pieces are fused
+ops built on `Tensor._result` with hand-written backward passes, next to
+the code they belong to: the relation stage, both GRU directions at once
+(`relation.encode_paths`), and each attention sublayer
 (`encoder._multi_head_attention`). They compute with the array kernels
 below: `row_products` and `logistic` for the GRU, `softmax` for attention.
 
@@ -126,17 +126,18 @@ def zero_gradients(params: Iterable[Parameter]) -> None:
 
 
 def row_products(A: Array, W: Array) -> Array:
-    """(B, k) rows times the transpose of (m, k): (B, m), one (1, k) @ (k, m)
-    product per row, so a row gets the same bits whatever batch it sits in.
-    Plain gemm blocks rows together, and a row's rounding then depends on the
-    batch size."""
-    return (A[:, None, :] @ W.T)[:, 0]
+    """(..., B, k) rows times the transpose of (..., m, k): (..., B, m), one
+    (1, k) @ (k, m) product per row, so a row gets the same bits whatever
+    batch it sits in. Leading axes stack independent matrices, broadcast as
+    in `@`. Plain gemm blocks rows together, and a row's rounding then
+    depends on the batch size."""
+    return (A[..., None, :] @ W.swapaxes(-1, -2)[..., None, :, :])[..., 0, :]
 
 
 def logistic(x: Array) -> Array:
     """Sigmoid without overflow: exp only ever sees -|x|."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x: Array, scale: float = 1.0) -> Array:
@@ -208,16 +209,6 @@ def div_scalar(t: Tensor, c: float) -> Tensor:
     if c == 0.0:
         raise ValueError("division by zero")
     return Tensor._result(t.data / c, (t,), lambda g: (g / c,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of an (r, k) and a (k, m) matrix; any other pair of shapes
-    raises a ShapeError naming both."""
-    a, b = lift(a), lift(b)
-    A, B = a.data, b.data
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ShapeError(f"cannot matmul shapes {A.shape} and {B.shape}")
-    return Tensor._result(A @ B, (a, b), lambda g: (g @ B.T, A.T @ g))
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:

@@ -1,7 +1,7 @@
 """The GRU cell of the relation-path encoder, composed from autodiff ops.
 
-The relation encoder runs the same arithmetic fused into one op per
-direction (`relation._final_states`); this composed cell is its independent
+The relation encoder runs the same arithmetic fused into one op for both
+directions (`relation.encode_paths`); this composed cell is its independent
 oracle, stepped one path at a time by `verify.lone_path_encoding`.
 
 Gate convention: update gate z and reset gate r are sigmoid units, the

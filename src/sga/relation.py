@@ -10,13 +10,19 @@ ordered character pair to the row of its path.
 The prefix and the suffix of a tree path are paths of the same sentence
 (see `syntax_graph.PathTable`), so the forward state of path u is one step
 from the forward state of its prefix, and its backward state one step from
-the backward state of its suffix. Each direction therefore steps every
-distinct path once, in one batched step per path length, and records one
-autodiff op (`_final_states`) whose backward pass is written by hand. The
-input projections are hoisted out of the recurrence: the label table goes
-through w_z, w_r and w_h once per direction, and each step gathers its
-rows. Batch invariance: a row's bits must not depend on the other paths in
-its call (the dedup check compares each row with a lone-path encoding that
+the backward state of its suffix. Both directions therefore step every
+distinct path once, together, in one `gru_level` call per path length, and
+the whole stage records one autodiff op (`encode_paths`) whose backward
+pass is written by hand and walks the levels once in reverse. The two
+cells' weights are stacked on a leading direction axis, and the z and r
+gates share one recurrent product and one `logistic` call. The input
+projections are hoisted out of the recurrence: the label table goes through
+the stacked input weights once, and each step gathers its rows. The path
+table carries label ids, so the vocabulary looks up each distinct label of
+a sentence once.
+
+Batch invariance: a row's bits must not depend on the other paths in its
+call (the dedup check compares each row with a lone-path encoding that
 `verify` steps through the composed `gru.gru_cell_forward`), so every
 product is `autodiff.row_products`, row by row, never gemm, and the gates
 keep the composed cell's order of operations.
@@ -36,7 +42,6 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
-    concat_last,
     glorot_uniform,
     logistic,
     row_products,
@@ -120,93 +125,95 @@ class RelationEncoderParams:
         return [self.edge_embedding] + self.gru_fwd.parameters() + self.gru_bwd.parameters()
 
 
-def gru_level(cell: GruCellParams, h, xz, xr, xh):
-    """One batched GRU step in numpy: states `h` (B, d_h) and input rows
-    already projected through w_z, w_r and w_h. Returns the new states and
-    what the backward pass reads. The gates keep the composed cell's order,
-    (x W + h U) + b and (1 - z) h + z c, so the bits match it."""
-    z = logistic(xz + row_products(h, cell.u_z.data) + cell.b_z.data)
-    r = logistic(xr + row_products(h, cell.u_r.data) + cell.b_r.data)
+def gru_level(weights, h, x):
+    """One batched GRU step of both directions in numpy: states `h`
+    (2, B, d_h), input rows `x` (2, B, 3 d_h) already projected through the
+    stacked (w_z; w_r; w_h), and `weights` the stacked (u_z; u_r), (b_z; b_r),
+    u_h and b_h. Returns the new states and what the backward pass reads.
+    The gates keep the composed cell's order, (x W + h U) + b and
+    (1 - z) h + z c, so the bits match it."""
+    u_zr, b_zr, u_h, b_h = weights
+    d = h.shape[-1]
+    zr = logistic(x[..., : 2 * d] + row_products(h, u_zr) + b_zr)
+    z, r = zr[..., :d], zr[..., d:]
     rh = r * h
-    c = np.tanh(xh + row_products(rh, cell.u_h.data) + cell.b_h.data)
-    return (1.0 - z) * h + z * c, (h, z, r, rh, c)
-
-
-def _final_states(
-    cell: GruCellParams, table: Tensor, parent: np.ndarray,
-    label_ids: np.ndarray, levels: list[np.ndarray],
-) -> Tensor:
-    """Final state of `cell` run over every distinct path from a zero state,
-    (len(parent), d_h), as one autodiff op on `table` and the cell weights.
-
-    Path u's state is one step from the state of path `parent[u]` on label
-    row `label_ids[u]`, and `levels[d - 1]` lists the paths of length d, so
-    each length is one batched step on states of the length before. The
-    states live in one array whose extra last row is the zero state that
-    parent -1 reads.
-    """
-    weights = cell.parameters()
-    w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = (p.data for p in weights)
-    inputs = [row_products(table.data, w) for w in (w_z, w_r, w_h)]
-    states = np.zeros((len(parent) + 1, cell.hidden_size))
-    saved = []
-    for level in levels:
-        labels = label_ids[level]
-        states[level], step = gru_level(
-            cell, states[parent[level]], *(x[labels] for x in inputs)
-        )
-        saved.append(step)
-
-    def vjp(g):
-        d_states = np.zeros_like(states)
-        d_states[:-1] = g
-        d_inputs = [np.zeros_like(x) for x in inputs]
-        d_gates, rows = [], []
-        for level, (h, z, r, rh, c) in zip(reversed(levels), reversed(saved)):
-            d_new = d_states[level]
-            d_c = d_new * z * (1.0 - c * c)
-            d_rh = d_c @ u_h
-            d_r = d_rh * h * r * (1.0 - r)
-            d_z = d_new * (c - h) * z * (1.0 - z)
-            d_h = d_new * (1.0 - z) + d_rh * r + d_z @ u_z + d_r @ u_r
-            np.add.at(d_states, parent[level], d_h)
-            for d_x, d_a in zip(d_inputs, (d_z, d_r, d_c)):
-                np.add.at(d_x, label_ids[level], d_a)
-            d_gates.append((d_z, d_r, d_c))
-            rows.append((h, rh))
-        d_z, d_r, d_c = (np.concatenate(d) for d in zip(*d_gates))
-        h, rh = (np.concatenate(x) for x in zip(*rows))
-        d_table = sum(d_x @ w for d_x, w in zip(d_inputs, (w_z, w_r, w_h)))
-        return (
-            d_table,
-            d_inputs[0].T @ table.data, d_z.T @ h, d_z.sum(axis=0),
-            d_inputs[1].T @ table.data, d_r.T @ h, d_r.sum(axis=0),
-            d_inputs[2].T @ table.data, d_c.T @ rh, d_c.sum(axis=0),
-        )
-
-    return Tensor._result(states[:-1], (table, *weights), vjp)
+    c = np.tanh(x[..., 2 * d :] + row_products(rh, u_h) + b_h)
+    return (1.0 - z) * h + z * c, (h, zr, rh, c)
 
 
 def encode_paths(
     paths: PathTable, params: RelationEncoderParams, vocab: LabelVocab
 ) -> Tensor:
     """Relation encodings of a sentence's distinct paths, one row per path
-    id: (len(paths), 2 * d_h).
+    id: (len(paths), 2 * d_h), as one autodiff op on the label table and
+    the 18 cell weights.
 
     Row u is concat(final forward state, final backward state) of path u,
     both GRUs starting from zero states. The forward GRU steps u from its
     prefix on its last label, the backward GRU from its suffix on its first
-    label. The cell's products are batch-invariant, so every row has the
-    same bits as the path stepped alone.
+    label, and each path length is one step of both. The states live in one
+    (U + 1, 2, d_h) array whose first U rows are the encodings and whose
+    last row is the zero state that parent -1 reads. The cell's products
+    are batch-invariant, so every row has the same bits as the path stepped
+    alone.
     """
-    last = np.array([vocab.index_of(label) for label in paths.last], dtype=np.int64)
-    first = np.array([vocab.index_of(label) for label in paths.first], dtype=np.int64)
+    d, table = params.d_h, params.edge_embedding.data
+    ids = np.array([vocab.index_of(label) for label in paths.alphabet], dtype=np.int64)
+    # Paths in level order, each level a slice. `rows` and `prev` index the
+    # flat (2 (U + 1), d_h) states, row 2 u + direction, where parent -1
+    # reads a zero row; `labels` indexes the flat (2 V, 3 d_h) inputs.
     order = np.argsort(paths.length, kind="stable")
-    levels = np.split(order, np.cumsum(np.bincount(paths.length)[1:])[:-1])
-    table = params.edge_embedding
-    forward = _final_states(params.gru_fwd, table, paths.prefix, last, levels)
-    backward = _final_states(params.gru_bwd, table, paths.suffix, first, levels)
-    return concat_last([forward, backward])
+    ends = np.cumsum(np.bincount(paths.length)[1:])
+    levels = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+    side = np.arange(2)[:, None]
+    rows = 2 * order + side
+    prev = 2 * np.stack([paths.prefix, paths.suffix])[:, order] + side
+    labels = ids[np.stack([paths.last, paths.first])[:, order]] + len(table) * side
+    cells = (params.gru_fwd, params.gru_bwd)
+
+    def stacked(*names):  # (2, len(names) * d_h, in), gates along the output axis
+        parts = [getattr(c, n).data for c in cells for n in names]
+        return np.concatenate(parts).reshape(2, len(names) * d, -1)
+
+    w, u_zr, u_h = stacked("w_z", "w_r", "w_h"), stacked("u_z", "u_r"), stacked("u_h")
+    weights = (u_zr, stacked("b_z", "b_r").swapaxes(1, 2), u_h, stacked("b_h").swapaxes(1, 2))
+    x = row_products(table, w).reshape(2 * len(table), 3 * d)
+    states = np.zeros((len(paths) + 1, 2, d))
+    flat = states.reshape(-1, d)
+    saved = []
+    for level in levels:
+        flat[rows[:, level]], step = gru_level(
+            weights, flat.take(prev[:, level], axis=0), x.take(labels[:, level], axis=0)
+        )
+        saved.append(step)
+
+    def vjp(g):
+        d_flat = np.zeros_like(flat)
+        d_flat[:-2] = g.reshape(-1, d)
+        d_x = np.zeros_like(x)
+        d_gates, kept = [], []
+        for level, (h, zr, rh, c) in zip(reversed(levels), reversed(saved)):
+            d_new = d_flat.take(rows[:, level], axis=0)
+            z, r = zr[..., :d], zr[..., d:]
+            d_c = d_new * z * (1.0 - c * c)
+            d_rh = d_c @ u_h
+            d_zr = np.concatenate([d_new * (c - h), d_rh * h], axis=-1) * zr * (1.0 - zr)
+            np.add.at(d_flat, prev[:, level], d_new * (1.0 - z) + d_rh * r + d_zr @ u_zr)
+            d_gates.append(np.concatenate([d_zr, d_c], axis=-1))
+            np.add.at(d_x, labels[:, level], d_gates[-1])
+            kept.append((h, rh))
+        d_all = np.concatenate(d_gates, axis=1)  # (2, U, 3 d_h), paths in reverse level order
+        h, rh = (np.concatenate(a, axis=1) for a in zip(*kept))
+        d_u = np.concatenate([
+            d_all[..., : 2 * d].swapaxes(1, 2) @ h, d_all[..., 2 * d :].swapaxes(1, 2) @ rh
+        ], axis=1)
+        d_x = d_x.reshape(2, len(table), 3 * d)
+        d_w, d_b = d_x.swapaxes(1, 2) @ table, d_all.sum(axis=1)
+        grads = [a[s, k * d : (k + 1) * d] for s in (0, 1) for k in range(3) for a in (d_w, d_u, d_b)]
+        return ((d_x @ w).sum(axis=0), *grads)
+
+    parents = [params.edge_embedding] + [p for c in cells for p in c.parameters()]
+    return Tensor._result(states[:-1].reshape(len(paths), 2 * d), tuple(parents), vjp)
 
 
 @dataclass

@@ -12,7 +12,9 @@ k -> j its prefix is path(i, k), and if it starts with i -> h its suffix is
 path(h, j). So one breadth-first search per source word yields the distinct
 paths as integers -- last and first label, prefix id, suffix id, length --
 together with the word-pair table that sends each ordered pair to its path
-id. `RelationPath` objects are rebuilt from that table only on request.
+id. A label is an id into the sentence's distinct directed labels, so the
+search hashes integers and a consumer looks each distinct label up once.
+`RelationPath` objects are rebuilt from that table only on request.
 Characters of one word share the word's paths, so a character pair reads
 the path of its two words.
 
@@ -120,14 +122,17 @@ def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
 class PathTable:
     """The distinct relation paths of one sentence, as integers.
 
-    Path u ends with label `last[u]` and starts with `first[u]`; `prefix[u]`
-    is the id of u less its last label and `suffix[u]` the id of u less its
-    first label, -1 where that is empty. Ids run in first-occurrence order
-    over the word pairs, and `word_pair[i - 1, j - 1]` is the id of path(i, j).
+    `alphabet` holds the sentence's distinct directed labels once each, and
+    labels are ids into it. Path u ends with label `last[u]` and starts with
+    `first[u]`; `prefix[u]` is the id of u less its last label and
+    `suffix[u]` the id of u less its first label, -1 where that is empty.
+    Ids run in first-occurrence order over the word pairs, and
+    `word_pair[i - 1, j - 1]` is the id of path(i, j).
     """
 
-    first: tuple[DirectedLabel, ...]
-    last: tuple[DirectedLabel, ...]
+    alphabet: tuple[DirectedLabel, ...]
+    first: np.ndarray  # (U,) int64 into alphabet
+    last: np.ndarray  # (U,) int64 into alphabet
     prefix: np.ndarray  # (U,) int64
     suffix: np.ndarray  # (U,) int64
     length: np.ndarray  # (U,) int64
@@ -139,7 +144,7 @@ class PathTable:
     def labels(self, u: int) -> tuple[DirectedLabel, ...]:
         out = []
         while u >= 0:
-            out.append(self.last[u])
+            out.append(self.alphabet[self.last[u]])
             u = self.prefix[u]
         return tuple(reversed(out))
 
@@ -161,49 +166,54 @@ def path_table(graph: SyntaxGraph) -> PathTable:
     source word over the non-self edges; the source itself gets the self-loop.
 
     A word reached through the edge k -> j gets the id of (id of the path
-    to k, label key), so each word pair costs one lookup and equal label
-    sequences get equal ids.
+    to k, label id), so each word pair costs one lookup and equal label
+    sequences get equal ids. That pair is keyed as one integer,
+    prefix id * len(alphabet) + label id, with prefix id -1 for a path of
+    one label. A new id records its first label, its length and the pair
+    (first hop, target) whose path it first was.
     """
     n = graph.n
-    label_of = {label.key: label for _, _, label in graph.edges}
-    ids: dict[tuple[int, str], int] = {}  # (prefix id, last label key) -> id
-    ends: list[tuple[int, int]] = []  # (first hop, target) where each id first appears
+    alphabet = tuple({label.key: label for _, _, label in graph.edges}.values())
+    label_id = {label.key: i for i, label in enumerate(alphabet)}
+    size, self_id = len(alphabet), label_id[SELF_BASE]
+    adjacent = {w: [(v, label_id[label.key]) for v, label in edges]
+                for w, edges in graph.neighbors.items()}
+    ids = {self_id - size: 0}  # key -> id; 0 is the self-loop
+    first, length, ends = [self_id], [1], [1, 1]  # ends: flat (first hop, target)
     rows = []
     for source in range(1, n + 1):
-        reached, queue = {source: (-1, 0)}, [source]  # word -> (path id, first hop)
-        for node in queue:
-            via, hop = reached[node]
-            for nxt, label in graph.neighbors[node]:
-                if nxt not in reached:
-                    reached[nxt] = (ids.setdefault((via, label.key), len(ids)), hop or nxt)
-                    queue.append(nxt)
-                    if len(ends) < len(ids):
-                        ends.append((hop or nxt, nxt))
-        if len(reached) < n:
-            missing = min(set(range(1, n + 1)) - set(reached))
-            raise ValueError(f"no path from {source} to {missing}")
-        reached[source] = (ids.setdefault((-1, SELF_BASE), len(ids)), 0)
-        if len(ends) < len(ids):
-            ends.append((0, source))
-        rows.append([reached[j][0] for j in range(1, n + 1)])
+        row = [-1] * (n + 1)  # path id of each word, from source
+        row[source] = 0
+        queue = [(source, -size, 0)]  # (word, its path id * size, first hop)
+        for node, base, hop in queue:
+            for nxt, label in adjacent[node]:
+                if row[nxt] < 0:
+                    u = ids.get(base + label)
+                    if u is None:
+                        u = ids[base + label] = len(ids)
+                        via = base // size
+                        first.append(first[via] if via >= 0 else label)
+                        length.append(length[via] + 1 if via >= 0 else 1)
+                        ends += (hop or nxt, nxt)
+                    row[nxt] = u
+                    queue.append((nxt, u * size, hop or nxt))
+        if len(queue) < n:
+            raise ValueError(f"no path from {source} to {row.index(-1, 1)}")
+        rows.append(row[1:])
     pair = np.array(rows, dtype=np.int64)
-    prefix = [p for p, _ in ids]
-    last = [label_of[key] for _, key in ids]
-    first, length = list(last), [1] * len(ids)
-    for u, p in enumerate(prefix):  # a prefix has a smaller id than its path
-        if p >= 0:
-            first[u], length[u] = first[p], length[p] + 1
+    prefix, last = np.divmod(np.fromiter(ids, np.int64, len(ids)), size)
     length = np.asarray(length, dtype=np.int64)
-    hop, target = np.array(ends).T
+    hop, target = np.reshape(ends, (-1, 2)).T
     suffix = np.where(length > 1, pair[hop - 1, target - 1], -1)
     # Renumber in first-occurrence order over word pairs; -1 stays -1.
     order = np.argsort(np.unique(pair, return_index=True)[1], kind="stable")
     renumber = np.full(len(order) + 1, -1, dtype=np.int64)
     renumber[order] = np.arange(len(order))
     return PathTable(
-        first=tuple(first[u] for u in order),
-        last=tuple(last[u] for u in order),
-        prefix=renumber[np.asarray(prefix)[order]],
+        alphabet=alphabet,
+        first=np.asarray(first, dtype=np.int64)[order],
+        last=last[order],
+        prefix=renumber[prefix[order]],
         suffix=renumber[suffix[order]],
         length=length[order],
         word_pair=renumber[pair],

@@ -13,10 +13,10 @@ from sga.autodiff import (
     add,
     backward,
     logistic,
-    matmul,
     matmul_rows,
     matmul_t,
     mul,
+    row_products,
     sigmoid,
     softmax,
     sub,
@@ -57,32 +57,33 @@ class TestTensor:
 
 
 class TestMatmul:
+    """The (r, k) by (m, k)^T product `matmul_t`, the one gemm op."""
+
     def test_identity_leaves_matrix_unchanged(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             m = rng.standard_normal((3, 3))
-            out = matmul(Tensor(np.eye(3)), Tensor(m))
+            out = matmul_t(Tensor(m), Tensor(np.eye(3)))
             assert np.array_equal(out.data, m)
 
     def test_hand_multiplied_case(self):
-        out = matmul(Tensor([[1, 2], [3, 4]]), Tensor([[0], [1]]))
+        out = matmul_t(Tensor([[1, 2], [3, 4]]), Tensor([[0, 1]]))
         assert np.array_equal(out.data, [[2], [4]])
 
     def test_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-        assert "(2, 3)" in str(err.value)
-        assert str(err.value).count("(2, 3)") == 2
+            matmul_t(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
 
     def test_vector_operands_raise(self):
-        """Only (r, k) @ (k, m) is recorded; vectors go in as (k, 1) columns."""
+        """Only (r, k) times (m, k)^T is recorded; vectors go in as rows."""
         for a, b in (
             ([[1, 2], [3, 4]], [1, 1]),
             ([1, 2], [[1, 2], [3, 4]]),
             ([1, 2, 3], [4, 5, 6]),
         ):
-            with pytest.raises(ShapeError, match="cannot matmul"):
-                matmul(Tensor(a), Tensor(b))
+            with pytest.raises(ShapeError, match="cannot matmul_t"):
+                matmul_t(Tensor(a), Tensor(b))
 
 
 class TestMatmulT:
@@ -118,6 +119,24 @@ class TestMatmulRows:
             assert np.array_equal(matmul_rows(Tensor(a[subset]), w).data, out[subset])
             for i in range(b):
                 assert np.array_equal(matmul_rows(Tensor(a[i : i + 1]), w).data[0], out[i])
+
+    def test_stacked_rows_equal_rows_alone(self):
+        """A (2, B, d) by (2, m, d)^T product stacks two independent ones:
+        every row equals the row computed alone against its own matrix, bit
+        for bit, for B = 1..64 at d = 200, and so does each half of a
+        matrix stacked along its output axis."""
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((2, 400, 200))
+        for b in range(1, 65):
+            a = rng.standard_normal((2, b, 200))
+            out = row_products(a, w)
+            assert out.shape == (2, b, 400)
+            for s in range(2):
+                for half in (slice(None, 200), slice(200, None)):
+                    lone = np.ascontiguousarray(w[s, half])
+                    for i in range(b):
+                        alone = row_products(a[s, i : i + 1], lone)[0]
+                        assert np.array_equal(alone, out[s, i, half])
 
 
 class TestSigmoid:
@@ -284,9 +303,9 @@ class TestCheckGradient:
 
         rng = np.random.default_rng(seed)
         w = Parameter("lin.w", rng.standard_normal((3, 4)))
-        b = Parameter("lin.b", rng.standard_normal((3, 1)))
-        x = Tensor(rng.standard_normal((4, 1)))
-        report = check_gradient(lambda: sum_all(add(matmul(w, x), b)), [w, b])
+        b = Parameter("lin.b", rng.standard_normal((1, 3)))
+        x = Tensor(rng.standard_normal((1, 4)))
+        report = check_gradient(lambda: sum_all(add(matmul_t(x, w), b)), [w, b])
         assert report.max_rel_error <= 1e-5
 
         gru = GruCellParams.create("gru", 3, 2, rng)

@@ -202,8 +202,9 @@ class TestEncodePath:
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_one_gru_step_per_distinct_prefix_and_suffix(self, seed, flight_tree, monkeypatch):
-        """Each direction makes one batched GRU step per depth, and the
-        rows stepped are the distinct prefixes plus the distinct suffixes."""
+        """One batched GRU step per depth covers both directions, and the
+        rows stepped are the distinct prefixes in the forward direction and
+        the distinct suffixes in the backward one."""
         tree = flight_tree if seed is None else random_sentence_tree(
             np.random.default_rng(seed), max_words=8
         )
@@ -211,10 +212,10 @@ class TestEncodePath:
         sentence = model.prepare(tree)
         step, batches = relation.gru_level, []
 
-        def counting(cell, h, xz, xr, xh):
-            assert len(h) == len(xz) == len(xr) == len(xh)
-            batches.append(len(h))
-            return step(cell, h, xz, xr, xh)
+        def counting(weights, h, x):
+            assert h.shape[:2] == x.shape[:2] and len(h) == 2
+            batches.append(h.shape[1])
+            return step(weights, h, x)
 
         monkeypatch.setattr(relation, "gru_level", counting)
         rel = model.encode_relations(sentence)
@@ -224,11 +225,12 @@ class TestEncodePath:
         suffixes = {seq[k:] for seq in ids for k in range(len(seq))}
         longest = max(map(len, ids))
         assert longest > 1
-        assert len(batches) == 2 * longest
-        assert batches[:longest] == [
-            sum(len(p) == depth for p in prefixes) for depth in range(1, longest + 1)
-        ]
-        assert sum(batches) == len(prefixes) + len(suffixes) == 2 * len(rel.paths)
+        assert len(batches) == longest
+        for steps in (prefixes, suffixes):
+            assert batches == [
+                sum(len(p) == depth for p in steps) for depth in range(1, longest + 1)
+            ]
+        assert 2 * sum(batches) == len(prefixes) + len(suffixes) == 2 * len(rel.paths)
 
     def test_rows_equal_lone_path_encodings_bit_for_bit(self):
         """At d_e = d_h = 200 a gemm over a level rounds a row differently
@@ -254,8 +256,8 @@ def composed_encoding(paths, params, vocab):
     """The relation encoder built from composed autodiff ops: one
     `gru_cell_forward` per path length and direction on the level tensors,
     the final rows gathered through the stacked levels."""
-    last = np.array([vocab.index_of(label) for label in paths.last])
-    first = np.array([vocab.index_of(label) for label in paths.first])
+    ids = np.array([vocab.index_of(label) for label in paths.alphabet])
+    last, first = ids[paths.last], ids[paths.first]
     order = np.argsort(paths.length, kind="stable")
     levels = np.split(order, np.cumsum(np.bincount(paths.length)[1:])[:-1])
     rank = np.zeros(len(order) + 1, dtype=np.int64)
@@ -290,8 +292,9 @@ class TestFusedLevels:
         for p in params.parameters():
             p.assign(0.5 * rng.standard_normal(p.data.shape))
         table = char_map(tree).table
+        alphabet_ids = np.array([vocab.index_of(label) for label in table.alphabet])
         for labels, parent in ((table.last, table.prefix), (table.first, table.suffix)):
-            ids = np.array([vocab.index_of(label) for label in labels])
+            ids = alphabet_ids[labels]
             depths = [set(ids[table.length == d]) for d in range(1, max(table.length) + 1)]
             assert len(depths) >= 4
             assert any(a & b for i, a in enumerate(depths) for b in depths[i + 1:])
@@ -311,6 +314,14 @@ class TestFusedLevels:
         for p, a, b in zip(params.parameters(), fused_grads, composed_grads):
             assert np.any(b != 0.0), p.name
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=p.name)
+
+    def test_relation_stage_is_one_op(self, flight_tree):
+        """Both directions, every level and the concatenation record one op
+        node whose parents are the label table and the 18 cell weights."""
+        model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
+        encodings = model.encode_relations(model.prepare(flight_tree)).encodings
+        assert len(_topo_order(encodings)) == 1 + 19
+        assert list(encodings._parents) == model.relation.parameters()
 
     def test_tape_size_does_not_grow_with_paths(self, flight_tree):
         """The relation encodings record the same number of tape nodes

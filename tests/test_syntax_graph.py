@@ -221,16 +221,18 @@ class TestPathTable:
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(1, 13)))
         table = path_table(build_syntax_graph(tree))
+        assert len({label.key for label in table.alphabet}) == len(table.alphabet)
         for u in range(len(table)):
             labels = table.labels(u)
+            first, last = table.alphabet[table.first[u]], table.alphabet[table.last[u]]
             assert len(labels) == table.length[u]
-            assert labels[-1] == table.last[u] and labels[0] == table.first[u]
+            assert labels[-1] == last and labels[0] == first
             if table.prefix[u] < 0:
                 assert table.suffix[u] < 0 and table.length[u] == 1
                 continue
             prefix, suffix = table.prefix[u], table.suffix[u]
-            assert table.labels(prefix) + (table.last[u],) == labels
-            assert (table.first[u],) + table.labels(suffix) == labels
+            assert table.labels(prefix) + (last,) == labels
+            assert (first,) + table.labels(suffix) == labels
             assert table.length[u] == table.length[prefix] + 1 == table.length[suffix] + 1
         keys = set()
         for i in range(1, tree.n + 1):
