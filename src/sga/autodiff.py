@@ -1,16 +1,18 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 All computation in this package runs in 64-bit floats. A :class:`Tensor`
-wraps a row-major numpy array and remembers the operation that produced it;
-:func:`backward` walks that record once, in reverse topological order, and
-accumulates gradients into the :class:`Parameter` leaves it reaches. The op
-set is deliberately small: exactly the pieces the relation encoder and the
-graph encoder are built from -- add, sub, mul, div_scalar, matmul_t,
-matmul_rows, tanh, sigmoid, relu, sum_all, mean_all, concat_last, take and
-layer_norm. There is no transpose or reshape op: a weight is stored as
-(out, in) and the products read it so. The two largest pieces are fused
-ops built on `Tensor._result` with hand-written backward passes, next to
-the code they belong to: the relation stage, both GRU directions at once
+wraps a row-major numpy array. Inside ``with recording():`` (a context
+variable, so per thread and task) it also remembers the operation that
+produced it, and :func:`backward` walks that record once, in reverse
+topological order, accumulating gradients into the :class:`Parameter`
+leaves it reaches. Outside, ops keep their values only: inference holds no
+tape. The op set is deliberately small: exactly the pieces the relation
+encoder and the graph encoder are built from -- add, sub, mul, div_scalar,
+matmul_t, matmul_rows, tanh, sigmoid, relu, sum_all, mean_all, concat_last,
+take and layer_norm. There is no transpose or reshape op: a weight is
+stored as (out, in) and the products read it so. The two largest pieces are
+fused ops built on `Tensor._result` with hand-written backward passes, next
+to the code they belong to: the relation stage, both GRU directions at once
 (`relation.encode_paths`), and each attention sublayer
 (`encoder._multi_head_attention`). They compute with the array kernels
 below: `row_products` and `logistic` for the GRU, `softmax` for attention.
@@ -29,13 +31,27 @@ backward passes over the same parameter set concurrently.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, StateError
 
 Array = np.ndarray
+
+_RECORDING: ContextVar[bool] = ContextVar("sga_autodiff_recording", default=False)
+
+
+@contextmanager
+def recording() -> Iterator[None]:
+    """Record the ops run inside the block for `backward`; blocks nest."""
+    token = _RECORDING.set(True)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 def _as_array(values) -> Array:
@@ -45,7 +61,7 @@ def _as_array(values) -> Array:
 
 
 class Tensor:
-    """Row-major float64 value, recorded for reverse-mode differentiation."""
+    """Row-major float64 value, recorded for backward inside `recording()`."""
 
     __slots__ = ("data", "_parents", "_vjp", "_done")
 
@@ -63,8 +79,7 @@ class Tensor:
         # Internal constructor for op outputs; skips finiteness validation.
         out = object.__new__(Tensor)
         out.data = data
-        out._parents = parents
-        out._vjp = vjp
+        out._parents, out._vjp = (parents, vjp) if _RECORDING.get() else ((), None)
         out._done = False
         return out
 
@@ -346,13 +361,16 @@ def _topo_order(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Populate gradients of every Parameter that participated in `loss`.
 
-    The graph recorded while computing `loss` is consumed: calling backward
-    a second time on the same loss raises a StateError; recompute the loss
-    to run another pass. Gradients accumulate into Parameter.grad, so zero
-    them (zero_gradients) between independent passes.
+    The graph recorded inside `recording()` while computing `loss` is
+    consumed: a loss with no graph, or a second call on the same loss,
+    raises a StateError; recompute the loss to run another pass. Gradients
+    accumulate into Parameter.grad, so zero them (zero_gradients) between
+    independent passes.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if loss._vjp is None and not isinstance(loss, Parameter):
+        raise StateError("this loss has no recorded graph; compute it inside recording()")
     if loss._done:
         raise StateError(
             "backward was already called on this loss; rebuild the computation "

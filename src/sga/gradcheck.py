@@ -7,7 +7,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, backward, zero_gradients
+from .autodiff import Parameter, Tensor, backward, recording, zero_gradients
 from .errors import NumericError
 
 REL_ERROR_FLOOR = 1e-8
@@ -56,7 +56,8 @@ def check_gradient(
     """Compare backward() gradients of f against central differences.
 
     `f` must be a deterministic scalar function of the current parameter
-    values (it is re-evaluated with each coordinate nudged by +/-eps).
+    values. Its unperturbed call runs inside `recording()`; the calls with
+    one coordinate nudged by +/-eps record no tape.
     The relative error per coordinate is |a - n| / max(|a|, |n|, 1e-8).
     """
     params = list(params)
@@ -67,7 +68,8 @@ def check_gradient(
         raise ValueError("parameter names must be unique")
 
     zero_gradients(params)
-    loss = f()
+    with recording():
+        loss = f()
     _scalar_loss(loss, "at the unperturbed point")
     backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}

@@ -131,6 +131,8 @@ class Model:
 
         `baseline` skips the relation machinery entirely; `zero_relations`
         runs it but with all-zero encodings (the two agree bit for bit).
+        Outside `autodiff.recording()` (which `training.sentence_loss`
+        opens) the pass records no tape and computes the same bits.
         """
         relations = None
         if not baseline:

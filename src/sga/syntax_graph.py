@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,18 +45,15 @@ SELF_BASE = "self"
 class DirectedLabel:
     base: str
     direction: Direction
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.base:
             raise ValueError("edge label must be non-empty")
         if (self.direction is Direction.SELF) != (self.base == SELF_BASE):
             raise ValueError(f"the label {SELF_BASE!r} is reserved for self-loops")
-
-    @cached_property
-    def key(self) -> str:
-        if self.direction is Direction.SELF:
-            return SELF_BASE
-        return f"{self.base}:{self.direction.value}"
+        key = f"{self.base}:{self.direction.value}"
+        object.__setattr__(self, "key", SELF_BASE if self.direction is Direction.SELF else key)
 
     def flipped(self) -> "DirectedLabel":
         if self.direction is Direction.SELF:
@@ -107,12 +103,15 @@ def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
 
     The pseudo-edge to the virtual root (HEAD=0) is dropped: the root word
     participates only through its real dependents and its self-loop. The
-    resulting graph has 2(n-1) + n directed edges in total.
+    resulting graph has 2(n-1) + n directed edges in total, with one label
+    object per distinct (label, direction).
     """
+    fwd = {b: DirectedLabel(b, Direction.FWD) for b in {e.label for e in tree.edges}}
+    rev = {b: label.flipped() for b, label in fwd.items()}
     edges: list[tuple[int, int, DirectedLabel]] = []
     for e in tree.edges:
-        edges.append((e.head, e.dependent, DirectedLabel(e.label, Direction.FWD)))
-        edges.append((e.dependent, e.head, DirectedLabel(e.label, Direction.REV)))
+        edges.append((e.head, e.dependent, fwd[e.label]))
+        edges.append((e.dependent, e.head, rev[e.label]))
     for i in range(1, tree.n + 1):
         edges.append((i, i, SELF_LOOP))
     return SyntaxGraph(tree.n, edges)

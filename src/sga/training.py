@@ -25,6 +25,7 @@ from .autodiff import (
     matmul_t,
     mean_all,
     mul,
+    recording,
     sub,
 )
 from .errors import NumericError, StateError
@@ -158,9 +159,10 @@ class RegressionHead:
 
 def sentence_loss(model: Model, head: RegressionHead, sentence: Sentence,
                   targets: np.ndarray) -> Tensor:
-    predicted = head(model.forward(sentence))
-    diff = sub(predicted, Tensor(targets))
-    return mean_all(mul(diff, diff))
+    """Mean squared error of the head's prediction, recorded for backward."""
+    with recording():
+        diff = sub(head(model.forward(sentence)), Tensor(targets))
+        return mean_all(mul(diff, diff))
 
 
 def toy_train(

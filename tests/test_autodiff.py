@@ -1,6 +1,7 @@
 """Core tensor ops, reverse-mode gradients, and the finite-difference checker."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sga.autodiff import (
     matmul_rows,
     matmul_t,
     mul,
+    recording,
     row_products,
     sigmoid,
     softmax,
@@ -211,33 +213,37 @@ class TestSoftmax:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         w = Parameter("w", np.arange(6, dtype=float).reshape(2, 3))
-        backward(sum_all(w))
+        with recording():
+            backward(sum_all(w))
         assert np.array_equal(w.grad, np.ones((2, 3)))
 
     def test_hand_chain_rule(self):
         # loss = (w * x)^2 at w=3, x=2: dloss/dw = 2 * (w x) * x = 24.
         w = Parameter("w", [3.0])
         x = Tensor([2.0])
-        wx = mul(w, x)
-        backward(sum_all(mul(wx, wx)))
+        with recording():
+            wx = mul(w, x)
+            backward(sum_all(mul(wx, wx)))
         assert w.grad[0] == pytest.approx(24.0, abs=1e-12)
 
     def test_detached_parameter_stays_zero(self):
         w = Parameter("w", np.ones(3))
         other = Parameter("other", np.ones(3))
-        backward(sum_all(mul(w, w)))
+        with recording():
+            backward(sum_all(mul(w, w)))
         assert np.array_equal(other.grad, np.zeros(3))
 
     def test_double_backward_raises(self):
         w = Parameter("w", np.ones(2))
-        loss = sum_all(w)
-        backward(loss)
-        with pytest.raises(StateError):
+        with recording():
+            loss = sum_all(w)
             backward(loss)
+            with pytest.raises(StateError):
+                backward(loss)
 
     def test_non_scalar_loss_rejected(self):
         w = Parameter("w", np.ones(2))
-        with pytest.raises(ShapeError):
+        with recording(), pytest.raises(ShapeError):
             backward(mul(w, w))
 
     def test_gradient_linearity(self):
@@ -252,24 +258,66 @@ class TestBackward:
         def loss_b():
             return sum_all(mul(b, w))
 
-        backward(add(loss_a(), loss_b()))
-        combined = w.grad.copy()
-        zero_gradients([w])
-        backward(loss_a())
-        first = w.grad.copy()
-        zero_gradients([w])
-        backward(loss_b())
-        second = w.grad.copy()
+        with recording():
+            backward(add(loss_a(), loss_b()))
+            combined = w.grad.copy()
+            zero_gradients([w])
+            backward(loss_a())
+            first = w.grad.copy()
+            zero_gradients([w])
+            backward(loss_b())
+            second = w.grad.copy()
         np.testing.assert_allclose(combined, first + second, atol=1e-12)
 
     def test_shared_node_accumulates(self):
         w = Parameter("w", [2.0])
-        y = mul(w, w)  # y reused twice below
-        backward(sum_all(add(y, y)))
+        with recording():
+            y = mul(w, w)  # y reused twice below
+            backward(sum_all(add(y, y)))
         assert w.grad[0] == pytest.approx(8.0, abs=1e-12)
+
+    def test_unrecorded_loss_raises_naming_recording(self):
+        w = Parameter("w", np.ones(2))
+        loss = sum_all(mul(w, w))
+        assert loss._parents == () and loss._vjp is None
+        with pytest.raises(StateError, match=r"recording\(\)"):
+            backward(loss)
+        assert np.array_equal(w.grad, np.zeros(2))
+
+    def test_recording_is_scoped(self):
+        w = Parameter("w", np.ones(2))
+        with recording():
+            with recording():
+                inner = sum_all(w)
+            outer = sum_all(w)
+        after = sum_all(w)
+        assert inner._parents == (w,) and outer._parents == (w,)
+        assert after._parents == () and after._vjp is None
+
+    def test_recording_does_not_reach_another_thread(self):
+        w = Parameter("w", np.ones(2))
+        results = []
+        with recording():
+            worker = threading.Thread(target=lambda: results.append(sum_all(w)))
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert results[0]._vjp is None
 
 
 class TestCheckGradient:
+    def test_records_only_the_unperturbed_call(self):
+        w = Parameter("w", np.array([0.5, -1.0, 2.0]))
+        recorded = []
+
+        def f():
+            loss = sum_all(mul(w, w))
+            recorded.append(loss._vjp is not None)
+            return loss
+
+        assert check_gradient(f, [w]).max_rel_error < 1e-9
+        assert recorded == [True] + [False] * (2 * 3)
+
     def test_quadratic_is_nearly_exact(self):
         rng = np.random.default_rng(11)
         w = Parameter("w", rng.uniform(0.2, 1.0, size=(4, 4)))

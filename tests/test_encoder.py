@@ -3,13 +3,14 @@ encoder stack reductions."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sga.autodiff import Parameter, Tensor, lift, softmax
+from sga.autodiff import Parameter, Tensor, lift, recording, softmax
 from sga.config import PipelineConfig
-from sga.conllu import DependencyTree, Edge
+from sga.conllu import DependencyTree, Edge, read_conllu
 from sga.encoder import (
     AttentionHeadParams,
     LAYER_NORM_EPS,
@@ -382,7 +383,9 @@ class TestEncoderForward:
         sentence = model.prepare(flight_tree)
         paths = model.encode_relations(sentence).encodings.data.shape[0]
         assert paths not in (sentence.n_chars, 2 * 3)
-        for out in (model.forward(sentence), model.forward(sentence, baseline=True)):
+        with recording():
+            outs = (model.forward(sentence), model.forward(sentence, baseline=True))
+        for out in outs:
             seen, stack = {id(out)}, [out]
             while stack:
                 node = stack.pop()
@@ -431,3 +434,51 @@ class TestEncoderForward:
         mask = np.ones_like(before, dtype=bool)
         mask[i, j] = False
         assert np.array_equal(before[mask], after[mask])
+
+
+class TestTapeFreeInference:
+    """Outside autodiff.recording() a forward pass records nothing and
+    computes the same bits as a recorded one."""
+
+    @pytest.mark.parametrize("name", ["flight.conllu", "dogs.conllu"])
+    @pytest.mark.parametrize("mode", [{}, {"zero_relations": True}, {"baseline": True}])
+    def test_forward_keeps_no_tape(self, fixtures_dir, name, mode):
+        trees = read_conllu((fixtures_dir / name).read_text(encoding="utf-8"))
+        model = toy_model(seed=71, trees=trees)
+        for tree in trees:
+            sentence = model.prepare(tree)
+            free, free_maps = model.forward(sentence, collect_attention=True, **mode)
+            with recording():
+                taped, taped_maps = model.forward(sentence, collect_attention=True, **mode)
+            assert free._parents == () and free._vjp is None
+            assert taped._vjp is not None
+            assert np.array_equal(free.data, taped.data)
+            for a, b in zip(free_maps, taped_maps, strict=True):
+                assert np.array_equal(a.scores, b.scores)
+                assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("name", ["flight.conllu", "dogs.conllu"])
+    def test_relation_encodings_keep_no_tape(self, fixtures_dir, name):
+        trees = read_conllu((fixtures_dir / name).read_text(encoding="utf-8"))
+        model = toy_model(seed=72, trees=trees)
+        for tree in trees:
+            sentence = model.prepare(tree)
+            free = model.encode_relations(sentence).encodings
+            with recording():
+                taped = model.encode_relations(sentence).encodings
+            assert free._parents == () and free._vjp is None
+            assert taped._vjp is not None
+            assert np.array_equal(free.data, taped.data)
+
+    def test_forward_leaves_only_its_output_allocated(self, flight_tree):
+        model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
+        sentence = model.prepare(flight_tree)
+        model.forward(sentence)  # first-call allocations are not the pass's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model.forward(sentence)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= out.data.nbytes + 16 * 1024

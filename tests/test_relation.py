@@ -1,15 +1,13 @@
 """Label vocabulary, path encoding, and dedup batching."""
 
 import math
-from collections import Counter
-from functools import cached_property
 
 import numpy as np
 import pytest
 
 from sga import relation, syntax_graph
 from sga.autodiff import (
-    Tensor, _topo_order, backward, concat_last, mul, sum_all, take,
+    Tensor, _topo_order, backward, concat_last, mul, recording, sum_all, take,
     zero_gradients,
 )
 from sga.conllu import DependencyTree, Edge, align_characters
@@ -305,8 +303,9 @@ class TestFusedLevels:
         grads = []
         for encode in (encode_paths, composed_encoding):
             zero_gradients(params.parameters())
-            out = encode(table, params, vocab)
-            backward(sum_all(mul(out, probe)))
+            with recording():
+                out = encode(table, params, vocab)
+                backward(sum_all(mul(out, probe)))
             grads.append((out.data, [p.grad.copy() for p in params.parameters()]))
         (fused, fused_grads), (composed, composed_grads) = grads
         assert np.array_equal(fused, composed)
@@ -319,7 +318,8 @@ class TestFusedLevels:
         """Both directions, every level and the concatenation record one op
         node whose parents are the label table and the 18 cell weights."""
         model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
-        encodings = model.encode_relations(model.prepare(flight_tree)).encodings
+        with recording():
+            encodings = model.encode_relations(model.prepare(flight_tree)).encodings
         assert len(_topo_order(encodings)) == 1 + 19
         assert list(encodings._parents) == model.relation.parameters()
 
@@ -333,7 +333,8 @@ class TestFusedLevels:
             sentence = model.prepare(tree)
             table = sentence.char_map.table
             sizes.append((len(table), int(max(table.length))))
-            counts.append(len(_topo_order(model.encode_relations(sentence).encodings)))
+            with recording():
+                counts.append(len(_topo_order(model.encode_relations(sentence).encodings)))
         assert sizes[0][0] != sizes[1][0] and sizes[0][1] != sizes[1][1]
         assert counts[0] == counts[1]
 
@@ -368,22 +369,21 @@ class TestDistinctBatch:
 class TestRelationTensor:
     def test_forward_builds_no_path_objects_and_each_key_once(self, flight_tree, monkeypatch):
         """Prepare and forward work on path ids: no RelationPath is built,
-        and each edge label's key string is made at most once."""
+        and each edge label's key string is made once, with the one label
+        object of its (label, direction)."""
         model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
-        built, keys = [], Counter()
-        make_key = DirectedLabel.key.func
+        built, made = [], []
+        post_init = DirectedLabel.__post_init__
 
-        def counting_key(label):
-            keys[id(label)] += 1
-            return make_key(label)
+        def counting_post_init(label):
+            post_init(label)
+            made.append(label.key)
 
-        counted = cached_property(counting_key)
-        counted.__set_name__(DirectedLabel, "key")
-        monkeypatch.setattr(DirectedLabel, "key", counted)
+        monkeypatch.setattr(DirectedLabel, "__post_init__", counting_post_init)
         monkeypatch.setattr(syntax_graph, "RelationPath", lambda *args: built.append(args))
         model.forward(model.prepare(flight_tree))
         assert built == []
-        assert keys and max(keys.values()) == 1
+        assert made and len(made) == len(set(made))
 
     def test_zeroed_keeps_structure(self, flight_tree):
         graph = build_syntax_graph(flight_tree)

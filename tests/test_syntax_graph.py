@@ -54,6 +54,29 @@ class TestBuildGraph:
         assert len(graph.edges) == 2 * (n - 1) + n == 22
         assert graph.self_loop_count == n == 8
 
+    def test_one_label_object_per_label_and_direction(self, flight_tree):
+        """Equal labels of one tree share one object, whose key is a plain
+        field that equality and repr ignore."""
+        repeated = DependencyTree(
+            ("a", "b", "c", "d"), (Edge(2, 1, "amod"), Edge(2, 3, "amod"), Edge(3, 4, "case")), 2
+        )
+        expected = {
+            flight_tree: [
+                "case:fwd", "case:rev", "compound:fwd", "compound:rev", "det:fwd",
+                "det:rev", "nmod:fwd", "nmod:rev", "nsubj:fwd", "nsubj:rev",
+                "obj:fwd", "obj:rev", "punct:fwd", "punct:rev", "self",
+            ],
+            repeated: ["amod:fwd", "amod:rev", "case:fwd", "case:rev", "self"],
+        }
+        for tree, keys in expected.items():
+            graph = build_syntax_graph(tree)
+            labels = list({id(label): label for _, _, label in graph.edges}.values())
+            assert len(labels) == 2 * len({e.label for e in tree.edges}) + 1
+            assert sorted(label.key for label in labels) == keys
+            for label in labels:
+                assert label == DirectedLabel(label.base, label.direction)
+                assert "key" not in repr(label)
+
     def test_reserved_self_label(self):
         with pytest.raises(ValueError):
             DirectedLabel("self", Direction.FWD)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from sga.autodiff import Parameter, Tensor, _topo_order, backward, mul, sub, sum_all
+from sga.autodiff import (
+    Parameter, Tensor, _topo_order, backward, mul, recording, sub, sum_all,
+)
 from sga.config import PipelineConfig
 from sga.conllu import read_conllu
 from sga.errors import NumericError, StateError
@@ -66,8 +68,9 @@ def test_adam_minimizes_a_quadratic():
     optimizer = Adam([w], lr=0.1)
     for _ in range(300):
         optimizer.zero_grad()
-        diff = sub(w, Tensor(target))
-        backward(sum_all(mul(diff, diff)))
+        with recording():
+            diff = sub(w, Tensor(target))
+            backward(sum_all(mul(diff, diff)))
         optimizer.step()
     np.testing.assert_allclose(w.data, target, atol=1e-4)
 
