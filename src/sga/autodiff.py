@@ -2,26 +2,29 @@
 
 All computation in this package runs in 64-bit floats. A :class:`Tensor`
 wraps a row-major numpy array. Inside ``with recording():`` (a context
-variable, so per thread and task) it also remembers the operation that
-produced it, and :func:`backward` walks that record once, in reverse
-topological order, accumulating gradients into the :class:`Parameter`
-leaves it reaches. Outside, ops keep their values only: inference holds no
-tape. The op set is deliberately small: exactly the pieces the relation
-encoder and the graph encoder are built from -- add, sub, mul, div_scalar,
-matmul_t, matmul_rows, tanh, sigmoid, relu, sum_all, mean_all, concat_last,
-take and layer_norm. There is no transpose or reshape op: a weight is
-stored as (out, in) and the products read it so. The two largest pieces are
-fused ops built on `Tensor._result` with hand-written backward passes, next
-to the code they belong to: the relation stage, both GRU directions at once
-(`relation.encode_paths`), and each attention sublayer
-(`encoder._multi_head_attention`). They compute with the array kernels
+variable, so per thread and task) each op result also remembers its VJP,
+its parents and the op recorded just before it in the same outermost block,
+so the block's record is a chain from newest to oldest (a Wengert list).
+:func:`backward` runs that chain once in reverse order of creation: no graph
+search. A parent that is a :class:`Parameter` takes its gradient straight
+into ``grad``; other parents hold theirs on the tensor until their turn.
+Outside, ops keep their values only: inference holds no tape. The generic
+op set is deliberately small: add, sub, mul, matmul_rows, tanh, sigmoid,
+sum_all, concat_last and take, for the embedding lookup, the composed GRU
+cell and the verification oracles. There is no transpose or reshape op: a
+weight is stored as (out, in) and the products read it so. The model's
+large pieces are fused ops built on `Tensor._result` with hand-written
+backward passes, next to the code they belong to: the relation stage, both
+GRU directions at once (`relation.encode_paths`), each attention sublayer
+(`encoder._multi_head_attention`), each block's feed-forward tail
+(`encoder._block_tail`) and the regression head with its loss
+(`training.RegressionHead.loss`). They compute with the array kernels
 below: `row_products` and `logistic` for the GRU, `softmax` for attention.
 
-Two ops compute ``a @ w^T``. `matmul_t` is one gemm over the whole batch,
-for the feed-forward layers and the regression head. `matmul_rows` takes
-one product per row (`row_products`), so a row gets the same bits whatever
-batch it sits in; the composed GRU cell uses it, which is what lets
-deduplicated relation encodings equal lone-path encodings bit for bit.
+`matmul_rows` computes ``a @ w^T`` with one product per row
+(`row_products`), so a row gets the same bits whatever batch it sits in;
+the composed GRU cell uses it, which is what lets deduplicated relation
+encodings equal lone-path encodings bit for bit.
 
 Tensors are immutable after construction and can be shared freely across
 threads for reading. Gradient accumulation is single-writer: never run two
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,17 +44,24 @@ from .errors import NumericError, ShapeError, StateError
 
 Array = np.ndarray
 
-_RECORDING: ContextVar[bool] = ContextVar("sga_autodiff_recording", default=False)
+# [tape id, newest recorded tensor] of the open outermost block, else None.
+# Tensors keep only the id, a bare object, so no tensor refers back to this
+# list and a dropped record is freed at once, without the cyclic collector.
+_TAPE: ContextVar[Optional[list]] = ContextVar("sga_autodiff_tape", default=None)
 
 
 @contextmanager
 def recording() -> Iterator[None]:
-    """Record the ops run inside the block for `backward`; blocks nest."""
-    token = _RECORDING.set(True)
+    """Record the ops run inside the block for `backward`. A nested block
+    adds to the record of the outermost one."""
+    if _TAPE.get() is not None:
+        yield
+        return
+    token = _TAPE.set([object(), None])
     try:
         yield
     finally:
-        _RECORDING.reset(token)
+        _TAPE.reset(token)
 
 
 def _as_array(values) -> Array:
@@ -63,7 +73,9 @@ def _as_array(values) -> Array:
 class Tensor:
     """Row-major float64 value, recorded for backward inside `recording()`."""
 
-    __slots__ = ("data", "_parents", "_vjp", "_done")
+    # _prev: the tensor recorded just before this one on tape _tape; _grad:
+    # the gradient pending for this tensor during `backward`.
+    __slots__ = ("data", "_parents", "_vjp", "_prev", "_tape", "_grad", "_done")
 
     def __init__(self, values):
         data = _as_array(values)
@@ -71,7 +83,7 @@ class Tensor:
             raise NumericError("tensor values must be finite (no NaN/Inf)")
         self.data = data
         self._parents: tuple = ()
-        self._vjp = None
+        self._vjp = self._prev = self._tape = self._grad = None
         self._done = False
 
     @classmethod
@@ -79,8 +91,14 @@ class Tensor:
         # Internal constructor for op outputs; skips finiteness validation.
         out = object.__new__(Tensor)
         out.data = data
-        out._parents, out._vjp = (parents, vjp) if _RECORDING.get() else ((), None)
+        out._grad = None
         out._done = False
+        tape = _TAPE.get()
+        if tape is None:
+            out._parents, out._vjp, out._prev, out._tape = (), None, None, None
+        else:
+            out._parents, out._vjp, out._tape, out._prev = parents, vjp, tape[0], tape[1]
+            tape[1] = out
         return out
 
     @property
@@ -219,23 +237,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(data, (a, b), vjp)
 
 
-def div_scalar(t: Tensor, c: float) -> Tensor:
-    t = lift(t)
-    if c == 0.0:
-        raise ValueError("division by zero")
-    return Tensor._result(t.data / c, (t,), lambda g: (g / c,))
-
-
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """Product of an (r, k) matrix and the transpose of an (m, k) matrix:
-    (r, m). Any other pair of shapes raises a ShapeError naming both."""
-    a, b = lift(a), lift(b)
-    A, B = a.data, b.data
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise ShapeError(f"cannot matmul_t shapes {A.shape} and {B.shape}")
-    return Tensor._result(A @ B.T, (a, b), lambda g: (g @ B, g.T @ A))
-
-
 def matmul_rows(a: Tensor, w: Tensor) -> Tensor:
     """Rows of a (B, k) matrix times the transpose of a (m, k) matrix: (B, m),
     batch-invariant (see `row_products`)."""
@@ -258,21 +259,10 @@ def sigmoid(t: Tensor) -> Tensor:
     return Tensor._result(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
-def relu(t: Tensor) -> Tensor:
-    t = lift(t)
-    out = np.maximum(t.data, 0.0)
-    return Tensor._result(out, (t,), lambda g: (g * (t.data > 0.0),))
-
-
 def sum_all(t: Tensor) -> Tensor:
     t = lift(t)
     data = np.asarray(t.data.sum())
     return Tensor._result(data, (t,), lambda g: (np.broadcast_to(g, t.data.shape),))
-
-
-def mean_all(t: Tensor) -> Tensor:
-    t = lift(t)
-    return div_scalar(sum_all(t), float(t.data.size))
 
 
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
@@ -306,66 +296,20 @@ def take(t: Tensor, index) -> Tensor:
     return Tensor._result(data, (t,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = lift(x), lift(gain), lift(bias)
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm gain/bias must have shape ({d},), got "
-            f"{gain.data.shape} and {bias.data.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = gain.data * xhat + bias.data
-
-    def vjp(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        flat_g = g.reshape(-1, d)
-        flat_xhat = xhat.reshape(-1, d)
-        dgain = (flat_g * flat_xhat).sum(axis=0)
-        dbias = flat_g.sum(axis=0)
-        return dx, dgain, dbias
-
-    return Tensor._result(out, (x, gain, bias), vjp)
-
-
 # ---------------------------------------------------------------------------
 # Reverse pass
 # ---------------------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list:
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Tensor) -> None:
     """Populate gradients of every Parameter that participated in `loss`.
 
-    The graph recorded inside `recording()` while computing `loss` is
-    consumed: a loss with no graph, or a second call on the same loss,
-    raises a StateError; recompute the loss to run another pass. Gradients
-    accumulate into Parameter.grad, so zero them (zero_gradients) between
-    independent passes.
+    The record of the `recording()` block that computed `loss` is run back
+    from `loss` until no gradient is pending. A loss with no record, a
+    second call on the same loss, or a record that reaches a tensor of
+    another block raises a StateError; recompute the loss to run another
+    pass. Gradients accumulate into Parameter.grad, so zero them
+    (zero_gradients) between independent passes.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -377,23 +321,36 @@ def backward(loss: Tensor) -> None:
             "before differentiating again"
         )
     loss._done = True
-    order = _topo_order(loss)
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if isinstance(node, Parameter):
-            node.grad += g.reshape(node.grad.shape)
-            continue
-        if node._vjp is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+    if isinstance(loss, Parameter):
+        loss.grad += 1.0
+        return
+    tape, node, pending = loss._tape, loss, 1
+    loss._grad = np.ones_like(loss.data)
+    try:
+        while pending:
+            g = node._grad
+            if g is not None:
+                node._grad = None
+                pending -= 1
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if isinstance(parent, Parameter):
+                        parent.grad += pg
+                    elif parent._tape is tape:
+                        if parent._grad is None:
+                            parent._grad = pg
+                            pending += 1
+                        else:
+                            parent._grad = parent._grad + pg
+                    elif parent._vjp is not None:
+                        raise StateError(
+                            "the loss reads a tensor recorded in another recording() "
+                            "block; compute it inside the loss's block"
+                        )
+            node = node._prev
+    except BaseException:
+        while node is not None:  # leave no pending gradient behind
+            node._grad, node = None, node._prev
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ USAGE_ERRORS = (ValueError, NumericError, OSError)
 
 
 def _read_trees(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     trees = read_conllu(text)
     if not trees:
         raise ValueError(f"{path}: no sentences found")

@@ -72,7 +72,8 @@ def _coerce(field: dataclasses.Field, raw: str):
 
 
 def load_config(path, **overrides) -> PipelineConfig:
-    """Parse a flat key=value config file; '#' starts a comment line.
+    """Parse a flat key=value config file; '#' starts a comment line, and a
+    UTF-8 byte-order mark is skipped.
     `overrides` (CLI flags) replace the file's values before the config is
     validated, so a flag can repair a file. Errors name the file, and the
     line of a key whose value is bad on its own."""
@@ -80,7 +81,7 @@ def load_config(path, **overrides) -> PipelineConfig:
         _check_field(key, value)
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -22,7 +22,10 @@ exactly to the plain dot-product attention, and the whole encoder reduces to
 a plain transformer encoder; `encoder_forward` with relations=None runs that
 reference path on the same parameters.
 
-Blocks are post-norm: sublayer, residual add, then normalization. Forward
+Blocks are post-norm: sublayer, residual add, then normalization. All that
+follows a block's attention sublayer -- residual add, layer norm,
+feed-forward, residual add, layer norm -- is a second autodiff op with a
+hand-written backward pass (`_block_tail`), so a block records two ops. Forward
 passes over frozen parameters are pure and may run concurrently across
 sentences; a training step is single-writer over its parameter set.
 """
@@ -35,17 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    Tensor,
-    add,
-    glorot_uniform,
-    layer_norm,
-    matmul_t,
-    relu,
-    softmax,
-    take,
-)
+from .autodiff import Parameter, Tensor, add, glorot_uniform, softmax, take
 from .errors import CoverageError, ShapeError, VocabError
 from .relation import RelationTensor
 
@@ -367,18 +360,54 @@ def _multi_head_attention(
     return Tensor._result(heads_out @ w_o.T, tuple(parents), vjp)
 
 
-def _block_forward(
-    x: Tensor,
-    relations: Optional[RelationTensor],
-    block: EncoderBlockParams,
-    block_index: int,
-    collect: Optional[list[AttentionMap]],
-) -> Tensor:
-    attn = _multi_head_attention(x, relations, block, block_index, collect)
-    x = layer_norm(add(x, attn), block.norm1_gain, block.norm1_bias, LAYER_NORM_EPS)
-    hidden = relu(add(matmul_t(x, block.ffn_w1), block.ffn_b1))
-    ffn = add(matmul_t(hidden, block.ffn_w2), block.ffn_b2)
-    return layer_norm(add(x, ffn), block.norm2_gain, block.norm2_bias, LAYER_NORM_EPS)
+def _normalize(a: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm of the rows of a: (gain * xhat + bias, xhat, 1 / std)."""
+    d = a.shape[-1]
+    centered = a - np.add.reduce(a, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered * inv
+    return gain * xhat + bias, xhat, inv
+
+
+def _normalize_vjp(g, gain, xhat, inv):
+    """Gradients of `_normalize` for its input, gain and bias."""
+    d = g.shape[-1]
+    dxhat = g * gain
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+    return inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def _block_tail(x: Tensor, attn: Tensor, block: EncoderBlockParams) -> Tensor:
+    """The rest of a block after its attention sublayer, as one autodiff op
+    on x, attn and the block's eight feed-forward and norm parameters:
+    residual add, layer norm, w1 and its bias, relu, w2 and its bias,
+    residual add, layer norm. The same numpy steps as those ops composed,
+    so the same bits; the backward pass runs their VJPs in reverse."""
+    w1, w2 = block.ffn_w1.data, block.ffn_w2.data
+    gain1, gain2 = block.norm1_gain.data, block.norm2_gain.data
+    y, xhat1, inv1 = _normalize(x.data + attn.data, gain1, block.norm1_bias.data)
+    pre = y @ w1.T + block.ffn_b1.data
+    hidden = np.maximum(pre, 0.0)
+    out, xhat2, inv2 = _normalize(
+        y + (hidden @ w2.T + block.ffn_b2.data), gain2, block.norm2_bias.data
+    )
+
+    def vjp(g):
+        d_sum2, d_gain2, d_bias2 = _normalize_vjp(g, gain2, xhat2, inv2)
+        d_pre = (d_sum2 @ w2) * (pre > 0.0)
+        d_sum1, d_gain1, d_bias1 = _normalize_vjp(d_sum2 + d_pre @ w1, gain1, xhat1, inv1)
+        return (
+            d_sum1, d_sum1, d_pre.T @ y, d_pre.sum(axis=0), d_sum2.T @ hidden,
+            d_sum2.sum(axis=0), d_gain1, d_bias1, d_gain2, d_bias2,
+        )
+
+    parents = (
+        x, attn, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2,
+        block.norm1_gain, block.norm1_bias, block.norm2_gain, block.norm2_bias,
+    )
+    return Tensor._result(out, parents, vjp)
 
 
 def position_signal(n: int, d_model: int) -> np.ndarray:
@@ -423,7 +452,7 @@ def encoder_forward(
         _check_relations(relations, x.data.shape[0])
     maps: Optional[list[AttentionMap]] = [] if collect_attention else None
     for b, block in enumerate(stack.blocks):
-        x = _block_forward(x, relations, block, b, maps)
+        x = _block_tail(x, _multi_head_attention(x, relations, block, b, maps), block)
     if collect_attention:
         return x, maps
     return x

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (
-    _RECORDING,
+    _TAPE,
     Parameter,
     Tensor,
     glorot_uniform,
@@ -181,7 +181,7 @@ def encode_paths(
     x = row_products(table, w).reshape(2 * len(table), 3 * d)
     states = np.zeros((len(paths) + 1, 2, d))
     flat = states.reshape(-1, d)
-    saved, keep = [], _RECORDING.get()  # a level's arrays outlive it only for backward
+    saved, keep = [], _TAPE.get() is not None  # a level's arrays outlive it only for backward
     for level in levels:
         flat[rows[:, level]], step = gru_level(
             weights, flat.take(prev[:, level], axis=0), x.take(labels[:, level], axis=0)

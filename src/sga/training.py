@@ -16,18 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    Tensor,
-    add,
-    backward,
-    glorot_uniform,
-    matmul_t,
-    mean_all,
-    mul,
-    recording,
-    sub,
-)
+from .autodiff import Parameter, Tensor, backward, glorot_uniform, recording
 from .errors import NumericError, StateError
 from .pipeline import Model, Sentence
 
@@ -153,16 +142,25 @@ class RegressionHead:
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul_t(x, self.w), self.b)
+    def loss(self, x: Tensor, targets: np.ndarray) -> Tensor:
+        """Mean squared error of the prediction x w^T + b against targets,
+        as one autodiff op on x, w and b."""
+        X, w = x.data, self.w.data
+        diff = X @ w.T + self.b.data - targets
+        size = diff.size
+
+        def vjp(g):
+            d_pred = diff * (2.0 * g / size)
+            return d_pred @ w, d_pred.T @ X, d_pred.sum(axis=0)
+
+        return Tensor._result(np.asarray((diff * diff).sum() / size), (x, self.w, self.b), vjp)
 
 
 def sentence_loss(model: Model, head: RegressionHead, sentence: Sentence,
                   targets: np.ndarray) -> Tensor:
-    """Mean squared error of the head's prediction, recorded for backward."""
+    """The head's loss on one sentence, recorded for backward."""
     with recording():
-        diff = sub(head(model.forward(sentence)), Tensor(targets))
-        return mean_all(mul(diff, diff))
+        return head.loss(model.forward(sentence), targets)
 
 
 def toy_train(
@@ -194,9 +192,8 @@ def toy_train(
     optimizer = Adam(params, lr=lr)
     all_targets = [pseudo_targets(s, target_dim) for s in sentences]
 
-    initial = sum(
-        sentence_loss(model, head, s, t).item()
-        for s, t in zip(sentences, all_targets)
+    initial = sum(  # evaluation only: nothing recorded
+        head.loss(model.forward(s), t).item() for s, t in zip(sentences, all_targets)
     ) / len(sentences)
     curve = [initial]
 

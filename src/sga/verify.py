@@ -35,6 +35,7 @@ from .syntax_graph import (
     build_syntax_graph,
     path_table,
 )
+from .training import RegressionHead
 
 LABEL_POOL = ("nsubj", "obj", "det", "nmod", "case", "advmod", "amod", "punct")
 
@@ -300,10 +301,11 @@ def gradcheck_model(seed: int = GRADCHECK_SEED):
 
     The check runs at a generic parameter point: every parameter (including
     normalization gains) is jittered away from its initialization, and the
-    loss projects the encoder output onto a fixed random probe. At the
-    pristine initialization a unit-gain final normalization makes the
-    summed output almost parameter-independent, which would leave nothing
-    but round-off to compare. The default seed is frozen so the suite is a
+    loss is a regression head's squared error against fixed random targets,
+    so it runs through every fused op's backward pass. At the pristine
+    initialization a unit-gain final normalization makes a summed output
+    almost parameter-independent, which would leave nothing but round-off
+    to compare. The default seed is frozen so the suite is a
     reproducible verification point.
     """
     config = PipelineConfig(
@@ -325,11 +327,11 @@ def gradcheck_model(seed: int = GRADCHECK_SEED):
     for p in model.parameters():
         p.assign(p.data + rng.uniform(-0.3, 0.3, size=p.data.shape))
     sentence = model.prepare(tree)
-    probe = Tensor(rng.uniform(-1.0, 1.0, size=(sentence.n_chars, config.d_model)))
+    head = RegressionHead.create(config.d_model, 3, rng)
+    targets = rng.uniform(-1.0, 1.0, size=(sentence.n_chars, 3))
 
     def loss() -> Tensor:
-        out = model.forward(sentence)
-        return sum_all(mul(out, probe))
+        return head.loss(model.forward(sentence), targets)
 
     return model, sentence, loss
 
@@ -362,7 +364,7 @@ def suite_gradcheck(seed: int = 0) -> SuiteResult:
             measured=report.max_rel_error,
             tolerance=1e-5,
             detail=(
-                "loss through embeddings, relation GRUs, attention and FFN; "
+                "loss through embeddings, relation GRUs, attention, FFN and head; "
                 f"worst parameter {report.worst().name}"
             ),
         )

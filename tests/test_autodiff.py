@@ -1,7 +1,9 @@
 """Core tensor ops, reverse-mode gradients, and the finite-difference checker."""
 
+import gc
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from sga.autodiff import (
     backward,
     logistic,
     matmul_rows,
-    matmul_t,
     mul,
     recording,
     row_products,
@@ -27,6 +28,8 @@ from sga.autodiff import (
 )
 from sga.errors import NumericError, ShapeError, StateError
 from sga.gradcheck import check_gradient
+
+from composed_ops import matmul_t, recorded_ops
 
 
 class TestTensor:
@@ -293,6 +296,51 @@ class TestBackward:
         after = sum_all(w)
         assert inner._parents == (w,) and outer._parents == (w,)
         assert after._parents == () and after._vjp is None
+
+    def test_record_is_a_chain_in_creation_order(self):
+        """Each op recorded in the outermost block, nested blocks included,
+        points to the one recorded before it; leaves and parameters are not
+        on the chain."""
+        w = Parameter("w", np.ones(2))
+        with recording():
+            first = mul(w, Tensor([2.0, 3.0]))
+            with recording():
+                second = sum_all(first)
+            third = add(second, second)
+        assert recorded_ops(third) == [third, second, first]
+
+    def test_tensor_of_another_block_raises(self):
+        """A gradient that would reach a tensor recorded in an earlier block
+        raises instead of being dropped, and leaves nothing pending."""
+        w = Parameter("w", np.ones(2))
+        with recording():
+            early = mul(w, w)
+        with recording():
+            late = mul(early, Tensor([1.0, 2.0]))
+            loss = sum_all(late)
+        with pytest.raises(StateError, match="another recording"):
+            backward(loss)
+        assert np.array_equal(w.grad, np.zeros(2))
+        assert all(op._grad is None for op in recorded_ops(loss))
+
+    def test_unused_record_is_freed_without_the_cycle_collector(self):
+        """Dropping a recorded loss that was never differentiated frees its
+        intermediates by reference counting alone: the record holds no
+        reference cycle."""
+        w = Parameter("w", np.ones(3))
+        gc.collect()
+        gc.disable()
+        try:
+            with recording():
+                hidden = mul(w, w)
+                loss = sum_all(mul(hidden, hidden))
+            alive = weakref.ref(hidden.data)
+            del hidden
+            assert alive() is not None
+            del loss
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_recording_does_not_reach_another_thread(self):
         w = Parameter("w", np.ones(2))

@@ -102,6 +102,18 @@ class TestEncodeCommand:
             assert proc.returncode == 0, proc.stderr
         assert read_tree(a) == read_tree(b)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A flight file saved with a UTF-8 BOM encodes to the same bytes as
+        the plain file."""
+        bom = tmp_path / "bom" / "flight.conllu"
+        bom.parent.mkdir()
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(FLIGHT).read_bytes())
+        a, b = tmp_path / "a", tmp_path / "b"
+        for source, directory in ((FLIGHT, a), (str(bom), b)):
+            assert main(["encode", source, "--random-init", *TOY, "--dump-scores",
+                         "--out-dir", str(directory)]) == 0
+        assert read_tree(a) == read_tree(b)
+
     def test_zero_relations_equals_baseline_bytes(self, tmp_path):
         zero, base = tmp_path / "zero", tmp_path / "base"
         assert main(

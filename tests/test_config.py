@@ -40,6 +40,15 @@ def test_load_config(tmp_path):
     assert config.use_positions is False
 
 
+def test_load_config_skips_byte_order_mark(tmp_path):
+    text = "# comment\nd_model=32\n heads = 4 \nuse_positions=off\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(bom) == load_config(plain)
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("frobnicate=1\n")

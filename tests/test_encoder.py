@@ -8,23 +8,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sga.autodiff import Parameter, Tensor, lift, recording, softmax
+from sga.autodiff import (
+    Parameter, Tensor, backward, lift, mul, recording, softmax, sum_all, zero_gradients,
+)
 from sga.config import PipelineConfig
 from sga.conllu import DependencyTree, Edge, read_conllu
 from sga.encoder import (
     AttentionHeadParams,
+    EncoderBlockParams,
     LAYER_NORM_EPS,
     baseline_score,
     encoder_forward,
     position_signal,
     syntax_score,
     syntax_score_terms,
+    _block_tail,
     _check_relations,
     _multi_head_attention,
 )
 from sga.errors import CoverageError, ShapeError, VocabError
 from sga.pipeline import Model
 from sga.verify import random_sentence_tree
+
+from composed_ops import composed_block_tail
 
 def graph_attention_layer(x, relations, block):
     """One multi-head attention sublayer as the encoder blocks run it (no
@@ -434,6 +440,45 @@ class TestEncoderForward:
         mask = np.ones_like(before, dtype=bool)
         mask[i, j] = False
         assert np.array_equal(before[mask], after[mask])
+
+
+class TestBlockTail:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fused_tail_equals_composed_ops(self, seed):
+        """The block tail as one op gives the nine composed ops' output and
+        gradients bit for bit, and gradchecks <= 1e-5 for x, the attention
+        output and all eight feed-forward and norm parameters. Jittered
+        norm parameters and a d_ff of 7 keep every term generic."""
+        from sga.gradcheck import check_gradient
+
+        rng = np.random.default_rng(seed)
+        block = EncoderBlockParams.create("blk", 6, 2, 7, 3, rng)
+        tail = [
+            block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2,
+            block.norm1_gain, block.norm1_bias, block.norm2_gain, block.norm2_bias,
+        ]
+        for p in tail:
+            p.assign(p.data + rng.uniform(-0.5, 0.5, p.shape))
+        x = Parameter("x", rng.standard_normal((5, 6)))
+        attn = Parameter("attn", rng.standard_normal((5, 6)))
+        probe = Tensor(rng.standard_normal((5, 6)))
+        params = [x, attn] + tail
+        results = []
+        for run in (_block_tail, composed_block_tail):
+            zero_gradients(params)
+            with recording():
+                out = run(x, attn, block)
+                backward(sum_all(mul(out, probe)))
+            results.append((out.data, [p.grad.copy() for p in params]))
+        (fused, fused_grads), (composed, composed_grads) = results
+        assert np.array_equal(fused, composed)
+        for p, a, b in zip(params, fused_grads, composed_grads):
+            assert np.any(b != 0.0), p.name
+            assert np.array_equal(a, b), p.name
+        report = check_gradient(
+            lambda: sum_all(mul(_block_tail(x, attn, block), probe)), params
+        )
+        assert report.max_rel_error <= 1e-5, report.worst()
 
 
 class TestTapeFreeInference:

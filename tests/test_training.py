@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from sga import training
 from sga.autodiff import (
-    Parameter, Tensor, _topo_order, backward, mul, recording, sub, sum_all,
+    Parameter, Tensor, backward, mul, recording, sub, sum_all, zero_gradients,
 )
 from sga.config import PipelineConfig
 from sga.conllu import read_conllu
@@ -21,6 +22,8 @@ from sga.training import (
     warmup_lr,
     write_loss_curve,
 )
+
+from composed_ops import composed_head_loss, recorded_ops
 
 
 class ReferenceAdam:
@@ -167,18 +170,50 @@ class TestAdamStorage:
 
 
 def test_loss_tape_reads_weights_as_stored(fixtures_dir):
-    """One toy loss on the flight fixture records no node that only
-    transposes its single parent, and at most 89 nodes: one per attention
-    sublayer, not one per head and term."""
+    """One toy loss on the flight fixture records 8 ops: the embedding
+    gather, the position add, the relation stage, attention and tail in
+    each of two blocks, and the head with its loss. None is a Parameter or
+    only transposes its single parent, and backward runs each op's VJP
+    once, so the walk visits no Parameter."""
     (tree,) = read_conllu((fixtures_dir / "flight.conllu").read_text())
     model = Model.create(PipelineConfig.toy(seed=0), [tree])
     head = RegressionHead.create(model.config.d_model, 4, np.random.default_rng(1))
     sentence = model.prepare(tree)
-    nodes = _topo_order(sentence_loss(model, head, sentence, pseudo_targets(sentence)))
-    for node in nodes:
-        if len(node._parents) == 1 and node.data.ndim == 2:
-            assert not np.array_equal(node.data, node._parents[0].data.T)
-    assert len(nodes) <= 89
+    loss = sentence_loss(model, head, sentence, pseudo_targets(sentence))
+    ops = recorded_ops(loss)
+    assert len(ops) == 8
+    ran = []
+    for op in ops:
+        assert not isinstance(op, Parameter)
+        if len(op._parents) == 1 and op.data.ndim == 2:
+            assert not np.array_equal(op.data, op._parents[0].data.T)
+        op._vjp = lambda g, op=op, vjp=op._vjp: ran.append(op) or vjp(g)
+    backward(loss)
+    assert sorted(map(id, ran)) == sorted(map(id, ops))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_head_loss_equals_composed_ops(seed):
+    """The head and its squared error as one op give the composed ops'
+    loss and gradients bit for bit, and gradcheck <= 1e-5 for x, w and b."""
+    rng = np.random.default_rng(seed)
+    head = RegressionHead.create(6, 3, rng)
+    head.b.assign(rng.standard_normal(3))
+    x = Parameter("x", rng.standard_normal((5, 6)))
+    targets = rng.uniform(-1.0, 1.0, (5, 3))
+    params = [x] + head.parameters()
+    results = []
+    for loss_of in (head.loss, lambda x, t: composed_head_loss(head, x, t)):
+        zero_gradients(params)
+        with recording():
+            loss = loss_of(x, targets)
+            backward(loss)
+        results.append((loss.item(), [p.grad.copy() for p in params]))
+    (fused, fused_grads), (composed, composed_grads) = results
+    assert fused == composed
+    for p, a, b in zip(params, fused_grads, composed_grads):
+        assert np.array_equal(a, b), p.name
+    assert check_gradient(lambda: head.loss(x, targets), params).max_rel_error <= 1e-5
 
 
 def _trainable(fixtures_dir, seed=0):
@@ -323,6 +358,23 @@ class TestToyTrain:
         model, sentences = _toy_setup(fixtures_dir)
         curve = toy_train(model, sentences[:3], epochs=25)
         assert curve[-1] < 0.5 * curve[0]
+
+    def test_initial_evaluation_records_nothing(self, fixtures_dir, monkeypatch):
+        """The initial full-corpus loss runs outside recording(): only the
+        training steps open a recording block, one per step."""
+        model, sentences = _toy_setup(fixtures_dir)
+        opened = []
+        real = training.recording
+
+        def counted():
+            opened.append(1)
+            return real()
+
+        monkeypatch.setattr(training, "recording", counted)
+        toy_train(model, sentences[:3], epochs=0)
+        assert opened == []
+        toy_train(model, sentences[:3], epochs=2)
+        assert len(opened) == 2 * 3
 
     def test_empty_corpus_rejected(self, fixtures_dir):
         model, _ = _toy_setup(fixtures_dir)
