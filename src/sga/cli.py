@@ -151,19 +151,19 @@ def cmd_encode(args) -> int:
         )
         for amap in maps:
             name = f"attn_s{idx:04d}_b{amap.block}_h{amap.head}.csv"
-            _write_attention_csv(out_dir / name, sentence.chars, amap.weights)
+            _write_attention_csv(out_dir / name, sentence.alignment.chars, amap.weights)
             if args.dump_scores:
                 name = f"scores_s{idx:04d}_b{amap.block}_h{amap.head}.csv"
-                _write_attention_csv(out_dir / name, sentence.chars, amap.scores)
+                _write_attention_csv(out_dir / name, sentence.alignment.chars, amap.scores)
         # The relation dump is skipped in the two reference modes so that
         # --zero-relations and --baseline write byte-identical directories.
         if not args.baseline and not args.zero_relations:
             unique, table = distinct_paths(sentence.char_map)
             payload = {
-                "n": sentence.char_map.m,
+                "n": sentence.n_chars,
                 "paths": [list(path.key) for path in unique],
                 "pair_index": table.tolist(),
-                "chars": list(sentence.chars),
+                "chars": list(sentence.alignment.chars),
             }
             (out_dir / f"relations_s{idx:04d}.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

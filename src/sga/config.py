@@ -22,8 +22,8 @@ _POSITIVE = ("d_model", "d_e", "d_h", "heads", "d_ff", "max_chars")
 def _check_field(name: str, value) -> None:
     if name in _POSITIVE and value <= 0:
         raise ValueError(f"{name} must be positive")
-    if name == "n_blocks" and value < 0:
-        raise ValueError("n_blocks must be non-negative")
+    if name in ("n_blocks", "seed") and value < 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass

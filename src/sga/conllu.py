@@ -5,6 +5,10 @@ ranges (``3-4``) and empty nodes (``5.1``) are skipped; enhanced dependency
 graphs are out of scope. Parsing itself happens upstream -- this module
 ingests its output.
 
+The character alignment holds only the characters that become attention
+nodes, the words' own characters; the spaces of the rendered sentence
+count toward its length bound and nothing else.
+
 All functions here are pure over immutable inputs and safe to call
 concurrently.
 """
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ParseError, StructureError
 
@@ -45,22 +48,11 @@ class DependencyTree:
 
 @dataclass(frozen=True)
 class CharAlignment:
-    """Characters of the rendered sentence mapped back to word indices.
-
-    `char_to_word[k]` is the 1-based word index owning character k, or None
-    for inter-word separator characters.
-    """
+    """The characters that become attention nodes: the words' characters in
+    order, without separators, and the 1-based word index of each one."""
 
     chars: str
-    char_to_word: tuple[Optional[int], ...]
-
-    @property
-    def word_chars(self) -> tuple[tuple[str, int], ...]:
-        """(character, word index) pairs excluding separators -- the
-        positions that become attention nodes."""
-        return tuple(
-            (c, w) for c, w in zip(self.chars, self.char_to_word) if w is not None
-        )
+    word_of_char: tuple[int, ...]
 
 
 # ASCII digits only: str.isdigit and int() also take digits such as '²'.
@@ -182,19 +174,16 @@ def to_conllu(tree: DependencyTree) -> str:
 def align_characters(
     tree: DependencyTree, max_chars: int = DEFAULT_MAX_CHARS
 ) -> CharAlignment:
-    """Render the sentence (words joined by single spaces) and map every
-    character position back to its word; separator positions map to None."""
+    """Map every character of the words to its word. The sentence rendered
+    with single spaces between words, spaces included, must fit in
+    `max_chars`; the spaces themselves are not attention nodes."""
     if tree.n == 0:
         raise ValueError("cannot align an empty tree")
-    rendered = " ".join(tree.forms)
-    if len(rendered) > max_chars:
+    length = len(" ".join(tree.forms))
+    if length > max_chars:
         raise ValueError(
-            f"rendered sentence has {len(rendered)} characters, exceeding the "
+            f"rendered sentence has {length} characters, exceeding the "
             f"configured maximum of {max_chars}"
         )
-    mapping: list[Optional[int]] = []
-    for i, form in enumerate(tree.forms, start=1):
-        if i > 1:
-            mapping.append(None)
-        mapping.extend([i] * len(form))
-    return CharAlignment(chars=rendered, char_to_word=tuple(mapping))
+    word_of_char = tuple(i for i, form in enumerate(tree.forms, start=1) for _ in form)
+    return CharAlignment(chars="".join(tree.forms), word_of_char=word_of_char)

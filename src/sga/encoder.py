@@ -138,13 +138,12 @@ class EncoderStackParams:
         n_blocks: int,
         rng: np.random.Generator,
         use_positions: bool = True,
-        prefix: str = "enc",
     ) -> "EncoderStackParams":
         embedding = Parameter(
-            f"{prefix}.char_embedding", glorot_uniform(rng, char_vocab_size, d_model)
+            "enc.char_embedding", glorot_uniform(rng, char_vocab_size, d_model)
         )
         blocks = tuple(
-            EncoderBlockParams.create(f"{prefix}.block{b}", d_model, num_heads, d_ff, d_h, rng)
+            EncoderBlockParams.create(f"enc.block{b}", d_model, num_heads, d_ff, d_h, rng)
             for b in range(n_blocks)
         )
         return cls(blocks=blocks, char_embedding=embedding, use_positions=use_positions)
@@ -229,9 +228,10 @@ def syntax_score_terms(
 
 
 def _check_relations(relations: RelationTensor, n: int) -> None:
-    if relations.n != n:
+    covered = relations.pair_index.shape[0]
+    if covered != n:
         raise CoverageError(
-            f"relation tensor covers {relations.n} characters, sequence has {n}"
+            f"relation tensor covers {covered} characters, sequence has {n}"
         )
     if not relations.is_complete:
         raise CoverageError("relation tensor is missing entries for some pairs")

@@ -11,10 +11,9 @@ from .autodiff import Parameter
 from .config import PipelineConfig
 from .conllu import CharAlignment, DependencyTree, align_characters
 from .encoder import EncoderStackParams, encoder_forward
-from .relation import LabelVocab, RelationEncoderParams, RelationTensor
+from .relation import LabelVocab, RelationEncoderParams, RelationTensor, encode_paths
 from .syntax_graph import (
     CharRelationMap,
-    SyntaxGraph,
     build_syntax_graph,
     expand_to_characters,
 )
@@ -34,32 +33,26 @@ class Sentence:
 
     tree: DependencyTree
     alignment: CharAlignment
-    graph: SyntaxGraph
     char_map: CharRelationMap
     char_ids: np.ndarray
-    chars: tuple[str, ...]
 
     @classmethod
     def prepare(
         cls, tree: DependencyTree, char_vocab: dict[str, int], max_chars: int
     ) -> "Sentence":
         alignment = align_characters(tree, max_chars=max_chars)
-        graph = build_syntax_graph(tree)
-        char_map = expand_to_characters(graph, alignment)
-        word_chars = alignment.word_chars
-        missing = [c for c, _ in word_chars if c not in char_vocab]
+        char_map = expand_to_characters(build_syntax_graph(tree), alignment)
+        missing = set(alignment.chars) - char_vocab.keys()
         if missing:
             raise ValueError(
-                f"characters {sorted(set(missing))!r} missing from the vocabulary"
+                f"characters {sorted(missing)!r} missing from the vocabulary"
             )
-        ids = np.asarray([char_vocab[c] for c, _ in word_chars], dtype=np.int64)
+        ids = np.asarray([char_vocab[c] for c in alignment.chars], dtype=np.int64)
         return cls(
             tree=tree,
             alignment=alignment,
-            graph=graph,
             char_map=char_map,
             char_ids=ids,
-            chars=tuple(c for c, _ in word_chars),
         )
 
     @property
@@ -116,8 +109,11 @@ class Model:
         return Sentence.prepare(tree, self.char_vocab, self.config.max_chars)
 
     def encode_relations(self, sentence: Sentence) -> RelationTensor:
-        return RelationTensor.from_char_map(
-            sentence.char_map, self.relation, self.label_vocab
+        cmap = sentence.char_map
+        return RelationTensor(
+            encodings=encode_paths(cmap.table, self.relation, self.label_vocab),
+            pair_index=cmap.pair_index(),
+            char_map=cmap,
         )
 
     def forward(

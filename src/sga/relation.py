@@ -11,9 +11,10 @@ The prefix and the suffix of a tree path are paths of the same sentence
 (see `syntax_graph.PathTable`), so the forward state of path u is one step
 from the forward state of its prefix, and its backward state one step from
 the backward state of its suffix. Both directions therefore step every
-distinct path once, together, in one `gru_level` call per path length, and
-the whole stage records one autodiff op (`encode_paths`) whose backward
-pass is written by hand and walks the levels once in reverse. The two
+distinct path once, together, in one `gru_level` call per path length --
+a slice, since path ids run by length -- and the whole stage records one
+autodiff op (`encode_paths`) whose backward pass is written by hand and
+walks the levels once in reverse. The two
 cells' weights are stacked on a leading direction axis, and the z and r
 gates share one recurrent product and one `logistic` call. The input
 projections are hoisted out of the recurrence: the label table goes through
@@ -33,7 +34,7 @@ single-writer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -110,16 +111,15 @@ class RelationEncoderParams:
         d_e: int,
         d_h: int,
         rng: np.random.Generator,
-        prefix: str = "rel",
     ) -> "RelationEncoderParams":
         return cls(
             d_e=d_e,
             d_h=d_h,
             edge_embedding=Parameter(
-                f"{prefix}.edge_embedding", glorot_uniform(rng, vocab_size, d_e)
+                "rel.edge_embedding", glorot_uniform(rng, vocab_size, d_e)
             ),
-            gru_fwd=GruCellParams.create(f"{prefix}.gru_fwd", d_e, d_h, rng),
-            gru_bwd=GruCellParams.create(f"{prefix}.gru_bwd", d_e, d_h, rng),
+            gru_fwd=GruCellParams.create("rel.gru_fwd", d_e, d_h, rng),
+            gru_bwd=GruCellParams.create("rel.gru_bwd", d_e, d_h, rng),
         )
 
     def parameters(self) -> list[Parameter]:
@@ -152,24 +152,21 @@ def encode_paths(
     Row u is concat(final forward state, final backward state) of path u,
     both GRUs starting from zero states. The forward GRU steps u from its
     prefix on its last label, the backward GRU from its suffix on its first
-    label, and each path length is one step of both. The states live in one
-    (U + 1, 2, d_h) array whose first U rows are the encodings and whose
-    last row is the zero state that parent -1 reads. The cell's products
-    are batch-invariant, so every row has the same bits as the path stepped
-    alone.
+    label, and each path length, one contiguous id range, is one step of
+    both. The states live in one (2, U + 1, d_h) array, direction first,
+    whose first U rows are the encodings and whose last row is the zero
+    state that parent -1 reads. The cell's products are batch-invariant, so
+    every row has the same bits as the path stepped alone.
     """
     d, table = params.d_h, params.edge_embedding.data
     ids = np.array([vocab.index_of(label) for label in paths.alphabet], dtype=np.int64)
-    # Paths in level order, each level a slice. `rows` and `prev` index the
-    # flat (2 (U + 1), d_h) states, row 2 u + direction, where parent -1
-    # reads a zero row; `labels` indexes the flat (2 V, 3 d_h) inputs.
-    order = np.argsort(paths.length, kind="stable")
     ends = np.cumsum(np.bincount(paths.length)[1:])
     levels = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+    # (direction, parent) and (direction, label) index pairs into the states
+    # and the (2, V, 3 d_h) inputs.
     side = np.arange(2)[:, None]
-    rows = 2 * order + side
-    prev = 2 * np.stack([paths.prefix, paths.suffix])[:, order] + side
-    labels = ids[np.stack([paths.last, paths.first])[:, order]] + len(table) * side
+    parent = np.stack([paths.prefix, paths.suffix])
+    labels = ids[np.stack([paths.last, paths.first])]
     cells = (params.gru_fwd, params.gru_bwd)
 
     def stacked(*names):  # (2, len(names) * d_h, in), gates along the output axis
@@ -178,44 +175,45 @@ def encode_paths(
 
     w, u_zr, u_h = stacked("w_z", "w_r", "w_h"), stacked("u_z", "u_r"), stacked("u_h")
     weights = (u_zr, stacked("b_z", "b_r").swapaxes(1, 2), u_h, stacked("b_h").swapaxes(1, 2))
-    x = row_products(table, w).reshape(2 * len(table), 3 * d)
-    states = np.zeros((len(paths) + 1, 2, d))
-    flat = states.reshape(-1, d)
+    x = row_products(table, w)
+    states = np.zeros((2, len(paths) + 1, d))
     saved, keep = [], _TAPE.get() is not None  # a level's arrays outlive it only for backward
     for level in levels:
-        flat[rows[:, level]], step = gru_level(
-            weights, flat.take(prev[:, level], axis=0), x.take(labels[:, level], axis=0)
+        states[:, level], step = gru_level(
+            weights, states[side, parent[:, level]], x[side, labels[:, level]]
         )
         if keep:
             saved.append(step)
 
     def vjp(g):
-        d_flat = np.zeros_like(flat)
-        d_flat[:-2] = g.reshape(-1, d)
+        d_states = np.zeros_like(states)
+        d_states[:, :-1] = g.reshape(len(paths), 2, d).swapaxes(0, 1)
         d_x = np.zeros_like(x)
         d_gates, kept = [], []
         for level, (h, zr, rh, c) in zip(reversed(levels), reversed(saved)):
-            d_new = d_flat.take(rows[:, level], axis=0)
+            d_new = d_states[:, level]
             z, r = zr[..., :d], zr[..., d:]
             d_c = d_new * z * (1.0 - c * c)
             d_rh = d_c @ u_h
             d_zr = np.concatenate([d_new * (c - h), d_rh * h], axis=-1) * zr * (1.0 - zr)
-            np.add.at(d_flat, prev[:, level], d_new * (1.0 - z) + d_rh * r + d_zr @ u_zr)
+            np.add.at(
+                d_states, (side, parent[:, level]), d_new * (1.0 - z) + d_rh * r + d_zr @ u_zr
+            )
             d_gates.append(np.concatenate([d_zr, d_c], axis=-1))
-            np.add.at(d_x, labels[:, level], d_gates[-1])
+            np.add.at(d_x, (side, labels[:, level]), d_gates[-1])
             kept.append((h, rh))
         d_all = np.concatenate(d_gates, axis=1)  # (2, U, 3 d_h), paths in reverse level order
         h, rh = (np.concatenate(a, axis=1) for a in zip(*kept))
         d_u = np.concatenate([
             d_all[..., : 2 * d].swapaxes(1, 2) @ h, d_all[..., 2 * d :].swapaxes(1, 2) @ rh
         ], axis=1)
-        d_x = d_x.reshape(2, len(table), 3 * d)
         d_w, d_b = d_x.swapaxes(1, 2) @ table, d_all.sum(axis=1)
         grads = [a[s, k * d : (k + 1) * d] for s in (0, 1) for k in range(3) for a in (d_w, d_u, d_b)]
         return ((d_x @ w).sum(axis=0), *grads)
 
     parents = [params.edge_embedding] + [p for c in cells for p in c.parameters()]
-    return Tensor._result(states[:-1].reshape(len(paths), 2 * d), tuple(parents), vjp)
+    encodings = states[:, :-1].swapaxes(0, 1).reshape(len(paths), 2 * d)
+    return Tensor._result(encodings, tuple(parents), vjp)
 
 
 @dataclass
@@ -231,10 +229,6 @@ class RelationTensor:
     pair_index: np.ndarray  # (n, n) int64, row index per ordered pair
     char_map: CharRelationMap
 
-    @property
-    def n(self) -> int:
-        return self.pair_index.shape[0]
-
     @cached_property
     def paths(self) -> list[RelationPath]:
         """The path of each encoding row, built on first read (dumps, checks)."""
@@ -247,23 +241,6 @@ class RelationTensor:
             np.all(self.pair_index >= 0) and np.all(self.pair_index < rows)
         )
 
-    @classmethod
-    def from_char_map(
-        cls,
-        cmap: CharRelationMap,
-        params: RelationEncoderParams,
-        vocab: LabelVocab,
-    ) -> "RelationTensor":
-        return cls(
-            encodings=encode_paths(cmap.table, params, vocab),
-            pair_index=cmap.pair_index(),
-            char_map=cmap,
-        )
-
     def zeroed(self) -> "RelationTensor":
         """Same structure with all-zero encodings (relation signal off)."""
-        return RelationTensor(
-            encodings=Tensor(np.zeros_like(self.encodings.data)),
-            pair_index=self.pair_index,
-            char_map=self.char_map,
-        )
+        return replace(self, encodings=Tensor(np.zeros_like(self.encodings.data)))

@@ -12,9 +12,12 @@ k -> j its prefix is path(i, k), and if it starts with i -> h its suffix is
 path(h, j). So one breadth-first search per source word yields the distinct
 paths as integers -- last and first label, prefix id, suffix id, length --
 together with the word-pair table that sends each ordered pair to its path
-id. A label is an id into the sentence's distinct directed labels, so the
-search hashes integers and a consumer looks each distinct label up once.
-`RelationPath` objects are rebuilt from that table only on request.
+id. Ids run by length, so the paths of one length form one contiguous id
+range, the unit in which the relation stage steps them. A label is an id
+into the sentence's distinct directed labels, so the search hashes integers
+and a consumer looks each distinct label up once. The search reads the
+graph's edge list directly. `RelationPath` objects are rebuilt from that
+table only on request.
 Characters of one word share the word's paths, so a character pair reads
 the path of its two words.
 
@@ -79,19 +82,12 @@ class RelationPath:
         return len(self.labels)
 
 
+@dataclass(frozen=True)
 class SyntaxGraph:
     """Directed labeled graph over the words of one sentence."""
 
-    def __init__(self, n: int, edges: list[tuple[int, int, DirectedLabel]]):
-        self.n = n
-        self.edges = tuple(edges)
-        # Non-self out-edges of each word: (neighbour, label).
-        self.neighbors: dict[int, list[tuple[int, DirectedLabel]]] = {
-            i: [] for i in range(1, n + 1)
-        }
-        for u, v, label in self.edges:
-            if label.direction is not Direction.SELF:
-                self.neighbors[u].append((v, label))
+    n: int
+    edges: tuple[tuple[int, int, DirectedLabel], ...]
 
     @property
     def self_loop_count(self) -> int:
@@ -114,7 +110,7 @@ def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
         edges.append((e.dependent, e.head, rev[e.label]))
     for i in range(1, tree.n + 1):
         edges.append((i, i, SELF_LOOP))
-    return SyntaxGraph(tree.n, edges)
+    return SyntaxGraph(tree.n, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,8 @@ class PathTable:
     labels are ids into it. Path u ends with label `last[u]` and starts with
     `first[u]`; `prefix[u]` is the id of u less its last label and
     `suffix[u]` the id of u less its first label, -1 where that is empty.
-    Ids run in first-occurrence order over the word pairs, and
-    `word_pair[i - 1, j - 1]` is the id of path(i, j).
+    Ids run by length, so the paths of each length are one contiguous id
+    range, and `word_pair[i - 1, j - 1]` is the id of path(i, j).
     """
 
     alphabet: tuple[DirectedLabel, ...]
@@ -169,14 +165,17 @@ def path_table(graph: SyntaxGraph) -> PathTable:
     sequences get equal ids. That pair is keyed as one integer,
     prefix id * len(alphabet) + label id, with prefix id -1 for a path of
     one label. A new id records its first label, its length and the pair
-    (first hop, target) whose path it first was.
+    (first hop, target) whose path it first was. The ids are then renumbered
+    by length, keeping search order within a length.
     """
     n = graph.n
     alphabet = tuple({label.key: label for _, _, label in graph.edges}.values())
     label_id = {label.key: i for i, label in enumerate(alphabet)}
     size, self_id = len(alphabet), label_id[SELF_BASE]
-    adjacent = {w: [(v, label_id[label.key]) for v, label in edges]
-                for w, edges in graph.neighbors.items()}
+    adjacent = [[] for _ in range(n + 1)]  # non-self out-edges: (neighbour, label id)
+    for u, v, label in graph.edges:
+        if label.direction is not Direction.SELF:
+            adjacent[u].append((v, label_id[label.key]))
     ids = {self_id - size: 0}  # key -> id; 0 is the self-loop
     first, length, ends = [self_id], [1], [1, 1]  # ends: flat (first hop, target)
     rows = []
@@ -204,8 +203,8 @@ def path_table(graph: SyntaxGraph) -> PathTable:
     length = np.asarray(length, dtype=np.int64)
     hop, target = np.reshape(ends, (-1, 2)).T
     suffix = np.where(length > 1, pair[hop - 1, target - 1], -1)
-    # Renumber in first-occurrence order over word pairs; -1 stays -1.
-    order = np.argsort(np.unique(pair, return_index=True)[1], kind="stable")
+    # Renumber by length, stable in search order; -1 stays -1.
+    order = np.argsort(length, kind="stable")
     renumber = np.full(len(order) + 1, -1, dtype=np.int64)
     renumber[order] = np.arange(len(order))
     return PathTable(
@@ -221,10 +220,9 @@ def path_table(graph: SyntaxGraph) -> PathTable:
 
 @dataclass(frozen=True)
 class CharRelationMap:
-    """The sentence's path table plus the word index of each non-separator
-    character; a character pair reads the path of its word pair."""
+    """The sentence's path table plus the word index of each character; a
+    character pair reads the path of its word pair."""
 
-    m: int
     word_of_char: tuple[int, ...]
     table: PathTable
 
@@ -235,24 +233,20 @@ class CharRelationMap:
 
 
 def expand_to_characters(graph: SyntaxGraph, alignment: CharAlignment) -> CharRelationMap:
-    """Build the path table and map every character to its word.
-
-    Separator characters are not attention nodes and are excluded. Raises
-    if the alignment does not cover exactly the graph's words.
-    """
-    word_of_char = tuple(w for w in alignment.char_to_word if w is not None)
-    covered = set(word_of_char)
+    """Build the path table and map every character to its word. Raises
+    if the alignment does not cover exactly the graph's words."""
+    covered = set(alignment.word_of_char)
     if covered != set(range(1, graph.n + 1)):
         raise ValueError(
             f"alignment covers words {sorted(covered)}, graph has 1..{graph.n}"
         )
-    return CharRelationMap(len(word_of_char), word_of_char, path_table(graph))
+    return CharRelationMap(alignment.word_of_char, path_table(graph))
 
 
 def distinct_paths(cmap: CharRelationMap) -> tuple[list[RelationPath], np.ndarray]:
-    """The distinct paths (first-occurrence order over word pairs) and the
-    m x m table mapping each ordered character pair to its path index;
-    rebuilding the map through the table reproduces it exactly."""
+    """The distinct paths, by id (shortest first), and the m x m table
+    mapping each ordered character pair to its path index; rebuilding the
+    map through the table reproduces it exactly."""
     return cmap.table.paths(), cmap.pair_index()
 
 
@@ -261,17 +255,22 @@ def distinct_paths(cmap: CharRelationMap) -> tuple[list[RelationPath], np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(graph: SyntaxGraph, tree: DependencyTree) -> str:
     """DOT rendering: forward edges solid, reverse edges dashed, self-loops
     omitted for readability."""
     lines = ["digraph syntax {"]
     for i, form in enumerate(tree.forms, start=1):
-        lines.append(f'  n{i} [label="{form}"];')
+        lines.append(f"  n{i} [label={_dot_string(form)}];")
     for u, v, label in graph.edges:
         if label.direction is Direction.SELF:
             continue
         style = "solid" if label.direction is Direction.FWD else "dashed"
-        lines.append(f'  n{u} -> n{v} [label="{label.base}", style={style}];')
+        lines.append(f"  n{u} -> n{v} [label={_dot_string(label.base)}, style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

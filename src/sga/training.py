@@ -113,9 +113,8 @@ def pseudo_targets(sentence: Sentence, dim: int = DEFAULT_TARGET_DIM) -> np.ndar
     """Per-character target vectors in [-1, 1], derived from a stable hash
     of (word form, offset within word); identical across runs and platforms."""
     targets = np.zeros((sentence.n_chars, dim))
-    word_chars = sentence.alignment.word_chars
     offsets: dict[int, int] = {}
-    for row, (_, word_idx) in enumerate(word_chars):
+    for row, word_idx in enumerate(sentence.alignment.word_of_char):
         offset = offsets.get(word_idx, 0)
         offsets[word_idx] = offset + 1
         form = sentence.tree.form(word_idx)
@@ -169,7 +168,6 @@ def toy_train(
     epochs: int,
     lr: float = 1e-2,
     warmup_steps: Optional[int] = None,
-    target_dim: int = DEFAULT_TARGET_DIM,
 ) -> list[float]:
     """Overfit the encoder plus a linear head onto the pseudo-targets.
 
@@ -186,11 +184,11 @@ def toy_train(
     if warmup_steps is not None and warmup_steps < 1:
         raise ValueError(f"warmup_steps must be at least 1, got {warmup_steps}")
     head = RegressionHead.create(
-        model.config.d_model, target_dim, np.random.default_rng(model.config.seed + 1)
+        model.config.d_model, DEFAULT_TARGET_DIM, np.random.default_rng(model.config.seed + 1)
     )
     params = model.parameters() + head.parameters()
     optimizer = Adam(params, lr=lr)
-    all_targets = [pseudo_targets(s, target_dim) for s in sentences]
+    all_targets = [pseudo_targets(s) for s in sentences]
 
     initial = sum(  # evaluation only: nothing recorded
         head.loss(model.forward(s), t).item() for s, t in zip(sentences, all_targets)

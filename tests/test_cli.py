@@ -159,7 +159,7 @@ class TestEncodeCommand:
         encode = Model.encode_relations
 
         def counted(model, sentence):
-            calls.append(sentence.chars)
+            calls.append(sentence.alignment.chars)
             return encode(model, sentence)
 
         monkeypatch.setattr(Model, "encode_relations", counted)
@@ -249,7 +249,7 @@ class TestVerifyCommand:
         def broken(seed):
             result = SuiteResult(suite="algebra")
             result.checks.append(
-                CheckResult("forced", passed=False, measured=1.0, tolerance=0.0)
+                CheckResult("forced", measured=1.0, tolerance=0.0)
             )
             return result
 

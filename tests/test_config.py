@@ -78,6 +78,15 @@ def test_load_config_names_file_for_divisibility(tmp_path):
         load_config(path)
 
 
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        PipelineConfig(seed=-1)
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nseed=-1\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:2: seed must be non-negative"):
+        load_config(path)
+
+
 def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.delenv("SGA_SEED", raising=False)
     assert resolve_seed(None) == 0

@@ -140,19 +140,19 @@ class TestAlignment:
     def test_two_words(self):
         tree = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
         alignment = align_characters(tree)
-        assert alignment.chars == "ab c"
-        assert alignment.char_to_word == (1, 1, None, 2)
+        assert alignment.chars == "abc"
+        assert alignment.word_of_char == (1, 1, 2)
 
     def test_single_word_has_no_separators(self):
         tree = DependencyTree(("hi",), (), 1)
         alignment = align_characters(tree)
-        assert alignment.char_to_word == (1, 1)
+        assert alignment.chars == "hi"
+        assert alignment.word_of_char == (1, 1)
 
     def test_flight_fixture_counts(self, flight_tree):
         alignment = align_characters(flight_tree)
-        assert len(alignment.chars) == 44
-        assert sum(1 for w in alignment.char_to_word if w is None) == 7
-        assert len(alignment.word_chars) == 37
+        assert len(" ".join(flight_tree.forms)) == 44
+        assert len(alignment.chars) == len(alignment.word_of_char) == 37
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
@@ -162,16 +162,20 @@ class TestAlignment:
         with pytest.raises(ValueError, match="maximum"):
             align_characters(flight_tree, max_chars=10)
 
+    def test_max_chars_counts_the_spaces(self, flight_tree):
+        """The bound covers the rendered sentence, separators included,
+        though the separators are not attention nodes."""
+        assert len(align_characters(flight_tree, max_chars=44).chars) == 37
+        with pytest.raises(ValueError, match="has 44 characters"):
+            align_characters(flight_tree, max_chars=43)
+
     @given(st.integers(min_value=0, max_value=10_000))
     def test_concatenation_reproduces_rendering(self, seed):
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(1, 10)))
         alignment = align_characters(tree)
-        rebuilt = " ".join(tree.forms)
-        assert alignment.chars == rebuilt
-        # Per-position ownership is consistent with the words.
-        for pos, word in enumerate(alignment.char_to_word):
-            if word is None:
-                assert alignment.chars[pos] == " "
-            else:
-                assert alignment.chars[pos] in tree.form(word)
+        assert alignment.chars == "".join(tree.forms)
+        # Each word owns its characters, in order.
+        for i, form in enumerate(tree.forms, start=1):
+            owned = [c for c, w in zip(alignment.chars, alignment.word_of_char) if w == i]
+            assert "".join(owned) == form

@@ -46,6 +46,10 @@ def char_map(tree):
     return expand_to_characters(build_syntax_graph(tree), align_characters(tree))
 
 
+def relation_tensor(cmap, params, vocab):
+    return RelationTensor(encode_paths(cmap.table, params, vocab), cmap.pair_index(), cmap)
+
+
 class TestLabelVocab:
     def test_two_word_graph(self):
         vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
@@ -358,10 +362,11 @@ class TestDistinctBatch:
         rng = np.random.default_rng(3)
         params = RelationEncoderParams.create(16, 3, 3, rng)
         vocab = LabelVocab.build([graph])
-        rel = RelationTensor.from_char_map(cmap, params, vocab)
+        rel = relation_tensor(cmap, params, vocab)
         scattered = rel.encodings.data[rel.pair_index]
-        for ci in range(0, cmap.m, 5):
-            for cj in range(0, cmap.m, 7):
+        m = len(cmap.word_of_char)
+        for ci in range(0, m, 5):
+            for cj in range(0, m, 7):
                 path = cmap.table.path(cmap.word_of_char[ci], cmap.word_of_char[cj])
                 naive = lone_path_encoding(path.labels, params, vocab)
                 assert np.array_equal(naive.data[0], scattered[ci, cj])
@@ -391,7 +396,7 @@ class TestRelationTensor:
         cmap = expand_to_characters(graph, align_characters(flight_tree))
         params = RelationEncoderParams.create(16, 3, 4, np.random.default_rng(7))
         vocab = LabelVocab.build([graph])
-        rel = RelationTensor.from_char_map(cmap, params, vocab)
+        rel = relation_tensor(cmap, params, vocab)
         zeroed = rel.zeroed()
         assert np.array_equal(zeroed.pair_index, rel.pair_index)
         assert np.all(zeroed.encodings.data == 0.0)
@@ -401,7 +406,7 @@ class TestRelationTensor:
         cmap = expand_to_characters(graph, align_characters(flight_tree))
         params = RelationEncoderParams.create(16, 3, 4, np.random.default_rng(8))
         vocab = LabelVocab.build([graph])
-        rel = RelationTensor.from_char_map(cmap, params, vocab)
+        rel = relation_tensor(cmap, params, vocab)
         rel.pair_index = rel.pair_index.copy()
         rel.pair_index[0, 0] = -1
         assert not rel.is_complete

@@ -1,6 +1,7 @@
 """Syntax graph construction, shortest relation paths, character expansion."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestCharacterExpansion:
     def test_single_word_all_pairs_self(self):
         tree = DependencyTree(("ab",), (), 1)
         cmap = expand_to_characters(build_syntax_graph(tree), align_characters(tree))
-        assert cmap.m == 2
+        assert cmap.word_of_char == (1, 1)
         for ci in range(2):
             for cj in range(2):
                 assert char_path(cmap, ci, cj).labels == (SELF_LOOP,)
@@ -169,7 +170,7 @@ class TestCharacterExpansion:
     def test_flight_fixture_counts(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
         cmap = expand_to_characters(graph, align_characters(flight_tree))
-        assert cmap.m == 37
+        assert len(cmap.word_of_char) == 37
         assert cmap.table.word_pair.shape == (8, 8)
         assert np.all(cmap.table.word_pair >= 0)
         assert cmap.pair_index().shape == (37, 37)
@@ -188,7 +189,7 @@ class TestCharacterExpansion:
         cmap = expand_to_characters(
             build_syntax_graph(tree), align_characters(tree)
         )
-        target = int(rng.integers(0, cmap.m))
+        target = int(rng.integers(0, len(cmap.word_of_char)))
         by_word = {}
         for pos, word in enumerate(cmap.word_of_char):
             by_word.setdefault(word, []).append(pos)
@@ -230,8 +231,9 @@ class TestDistinctPaths:
         words = range(1, flight_tree.n + 1)
         expected = {oracle(i, j) for i in words for j in words}
         assert len(unique) == len(expected) <= 64
-        for ci in range(cmap.m):
-            for cj in range(cmap.m):
+        m = len(cmap.word_of_char)
+        for ci in range(m):
+            for cj in range(m):
                 wi, wj = cmap.word_of_char[ci], cmap.word_of_char[cj]
                 assert unique[table[ci, cj]].key == oracle(wi, wj)
                 assert char_path(cmap, ci, cj).key == oracle(wi, wj)
@@ -265,10 +267,19 @@ class TestPathTable:
                 keys.add(path.key)
         assert len(keys) == len(table)
 
-    def test_ids_in_first_occurrence_order(self, flight_tree):
-        pair = path_table(build_syntax_graph(flight_tree)).word_pair.ravel()
-        firsts = [int(np.flatnonzero(pair == u)[0]) for u in range(pair.max() + 1)]
-        assert firsts == sorted(firsts)
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_ids_in_length_order(self, seed):
+        """Ids run by length, and within a length by the source word whose
+        search first reaches the path."""
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, int(rng.integers(1, 13)))
+        table = path_table(build_syntax_graph(tree))
+        assert list(table.length) == sorted(table.length)
+        source = [int(np.argwhere(table.word_pair == u)[0, 0]) for u in range(len(table))]
+        for length in set(table.length):
+            of_length = [source[u] for u in range(len(table)) if table.length[u] == length]
+            assert of_length == sorted(of_length)
 
 
 class TestExports:
@@ -282,6 +293,24 @@ class TestExports:
         assert dot.count("style=solid") == 2
         assert dot.count("style=dashed") == 2
         assert "self" not in dot
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        """A quotation-mark FORM (UD's PUNCT token) or a backslash in a form
+        or a label stays inside its quoted DOT string."""
+        tree = DependencyTree(
+            ("said", '"', "a\\b"),
+            (Edge(1, 2, "punct"), Edge(1, 3, 'x"y')),
+            1,
+        )
+        dot = graph_to_dot(build_syntax_graph(tree), tree)
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        labels = []
+        for line in dot.splitlines()[1:-1]:
+            match = re.fullmatch(rf"  n\d+( -> n\d+)? \[label={quoted}(, style=\w+)?\];", line)
+            assert match, line
+            labels.append(re.sub(r"\\(.)", r"\1", match.group(2)))
+        assert labels[:3] == ["said", '"', "a\\b"]
+        assert labels[3:] == ["punct", "punct", 'x"y', 'x"y']
 
     def test_json_includes_self_loops(self, flight_tree):
         graph = build_syntax_graph(flight_tree)

@@ -78,13 +78,21 @@ def test_reports_serialize_even_with_numpy_scalars():
 
     result = SuiteResult(suite="x")
     result.checks.append(
-        CheckResult(
-            "c",
-            passed=np.bool_(True),
-            measured=np.float64(0.5),
-            tolerance=np.float64(1.0),
-        )
+        CheckResult("c", measured=np.float64(0.5), tolerance=np.float64(1.0))
     )
     payload = json.loads(json.dumps(result.to_dict()))
     assert payload["checks"][0]["passed"] is True
     assert result.passed is True
+
+
+def test_a_check_passes_only_within_its_tolerance():
+    from sga.verify import CheckResult, SuiteResult
+
+    assert CheckResult("at", measured=1e-9, tolerance=1e-9).passed
+    result = SuiteResult(suite="x")
+    for measured in (0.0, 2e-9, float("nan")):
+        result.checks.append(CheckResult("c", measured=measured, tolerance=1e-9))
+    assert [c.passed for c in result.checks] == [True, False, False]
+    assert result.passed is False
+    assert result.to_dict()["passed"] is False
+    assert [c["passed"] for c in result.to_dict()["checks"]] == [True, False, False]
