@@ -44,6 +44,15 @@ def _read_trees(path: str):
     return trees
 
 
+def _prepared(model: Model, path: str, trees):
+    """Prepare each tree; an error names the file and sentence K (from 1)."""
+    for k, tree in enumerate(trees, start=1):
+        try:
+            yield model.prepare(tree)
+        except ValueError as exc:
+            raise ValueError(f"{path}: sentence {k}: {exc}") from None
+
+
 def _config_from_args(args) -> PipelineConfig:
     """Flags over the config file (or the toy dims) over the defaults. The
     seed comes from --seed, then SGA_SEED, then the file, then 0."""
@@ -141,8 +150,7 @@ def cmd_encode(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     embeddings = []
-    for idx, tree in enumerate(trees):
-        sentence = model.prepare(tree)
+    for idx, sentence in enumerate(_prepared(model, args.input, trees)):
         output, maps = model.forward(
             sentence,
             collect_attention=True,
@@ -194,7 +202,7 @@ def cmd_toytrain(args) -> int:
     if len(trees) > 100:
         raise ValueError(f"toy training expects at most 100 sentences, got {len(trees)}")
     model = Model.create(config, trees)
-    sentences = [model.prepare(tree) for tree in trees]
+    sentences = list(_prepared(model, args.input, trees))
     curve = toy_train(
         model,
         sentences,

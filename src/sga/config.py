@@ -92,6 +92,8 @@ def load_config(path, **overrides) -> PipelineConfig:
             key = key.strip()
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
                 values[key] = _coerce(fields[key], value.strip())
                 _check_field(key, values[key])

@@ -50,29 +50,28 @@ from .autodiff import (
 )
 from .gru import GruCellParams
 from .syntax_graph import (
+    SELF,
     CharRelationMap,
-    DirectedLabel,
     PathTable,
     RelationPath,
     SyntaxGraph,
     distinct_paths,
 )
 
-SELF_KEY = "self"
 UNK_KEY = "<unk>"
 
 
 class LabelVocab:
     """Dense index over directed edge labels, frozen after construction.
 
-    The self-loop label and an unknown-label fallback are always present,
-    so encoding is total even on sentences with labels never seen when the
-    vocabulary was built.
+    Labels are key strings (``nsubj:fwd``, ``nsubj:rev``). The self-loop
+    key ``self`` and an unknown-label fallback are always present, so
+    encoding is total even on labels never seen when it was built.
     """
 
     def __init__(self, keys: Sequence[str]):
-        ordered = [SELF_KEY, UNK_KEY]
-        ordered.extend(k for k in keys if k not in (SELF_KEY, UNK_KEY))
+        ordered = [SELF, UNK_KEY]
+        ordered.extend(k for k in keys if k not in (SELF, UNK_KEY))
         self._index = {key: i for i, key in enumerate(ordered)}
         if len(self._index) != len(ordered):
             raise ValueError("duplicate label keys")
@@ -81,14 +80,13 @@ class LabelVocab:
     def build(cls, graphs: Sequence[SyntaxGraph]) -> "LabelVocab":
         if not graphs:
             raise ValueError("cannot build a label vocabulary from no graphs")
-        keys = sorted({label.key for g in graphs for _, _, label in g.edges})
-        return cls(keys)
+        return cls(sorted({label for g in graphs for _, _, label in g.edges}))
 
     def __len__(self):
         return len(self._index)
 
-    def index_of(self, label: DirectedLabel) -> int:
-        return self._index.get(label.key, self._index[UNK_KEY])
+    def index_of(self, label: str) -> int:
+        return self._index.get(label, self._index[UNK_KEY])
 
     def keys(self) -> list[str]:
         return sorted(self._index, key=self._index.get)

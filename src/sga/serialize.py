@@ -59,7 +59,10 @@ def load_parameters(path) -> dict[str, np.ndarray]:
 
     while offset < len(blob):
         name_len = read_u32()
-        name = blob[offset : offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: parameter name is not valid UTF-8") from None
         offset += name_len
         rank = read_u32()
         shape = tuple(read_u32() for _ in range(rank))

@@ -1,10 +1,10 @@
 """Two-way, self-looped syntax graphs and the sentence's distinct relation paths.
 
 A dependency tree only connects a head to its dependents. The graph built
-here adds, for every tree edge with label L, a reverse edge carrying the
-distinct variant ``L:rev``, plus one ``self`` loop per word, so any ordered
-word pair is connected and the unique tree path between two words can be
-read off as a sequence of directed labels.
+here labels every tree edge L as ``L:fwd``, adds a reverse edge ``L:rev``
+and one ``self`` loop per word, so any ordered word pair is connected and
+the unique tree path between two words reads as a sequence of directed
+labels. A directed label is just that key string.
 
 In a tree, every prefix and every suffix of such a path is itself the path
 of another word pair of the same sentence: if path(i, j) ends with the edge
@@ -26,60 +26,24 @@ Everything here is pure and immutable; safe for concurrent use.
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conllu import CharAlignment, DependencyTree
 
-
-class Direction(enum.Enum):
-    FWD = "fwd"
-    REV = "rev"
-    SELF = "self"
-
-
-SELF_BASE = "self"
-
-
-@dataclass(frozen=True)
-class DirectedLabel:
-    base: str
-    direction: Direction
-    key: str = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.base:
-            raise ValueError("edge label must be non-empty")
-        if (self.direction is Direction.SELF) != (self.base == SELF_BASE):
-            raise ValueError(f"the label {SELF_BASE!r} is reserved for self-loops")
-        key = f"{self.base}:{self.direction.value}"
-        object.__setattr__(self, "key", SELF_BASE if self.direction is Direction.SELF else key)
-
-    def flipped(self) -> "DirectedLabel":
-        if self.direction is Direction.SELF:
-            return self
-        other = Direction.REV if self.direction is Direction.FWD else Direction.FWD
-        return DirectedLabel(self.base, other)
-
-
-SELF_LOOP = DirectedLabel(SELF_BASE, Direction.SELF)
+SELF = "self"
 
 
 @dataclass(frozen=True)
 class RelationPath:
     """Directed label sequence along the unique tree path between two words."""
 
-    labels: tuple[DirectedLabel, ...]
-
-    @property
-    def key(self) -> tuple[str, ...]:
-        return tuple(label.key for label in self.labels)
+    key: tuple[str, ...]
 
     def __len__(self):
-        return len(self.labels)
+        return len(self.key)
 
 
 @dataclass(frozen=True)
@@ -87,11 +51,11 @@ class SyntaxGraph:
     """Directed labeled graph over the words of one sentence."""
 
     n: int
-    edges: tuple[tuple[int, int, DirectedLabel], ...]
+    edges: tuple[tuple[int, int, str], ...]
 
     @property
     def self_loop_count(self) -> int:
-        return sum(1 for _, _, l in self.edges if l.direction is Direction.SELF)
+        return sum(1 for _, _, label in self.edges if label == SELF)
 
 
 def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
@@ -99,17 +63,17 @@ def build_syntax_graph(tree: DependencyTree) -> SyntaxGraph:
 
     The pseudo-edge to the virtual root (HEAD=0) is dropped: the root word
     participates only through its real dependents and its self-loop. The
-    resulting graph has 2(n-1) + n directed edges in total, with one label
-    object per distinct (label, direction).
+    resulting graph has 2(n-1) + n directed edges in total. Raises on an
+    empty label or the reserved label ``self``.
     """
-    fwd = {b: DirectedLabel(b, Direction.FWD) for b in {e.label for e in tree.edges}}
-    rev = {b: label.flipped() for b, label in fwd.items()}
-    edges: list[tuple[int, int, DirectedLabel]] = []
+    edges: list[tuple[int, int, str]] = []
     for e in tree.edges:
-        edges.append((e.head, e.dependent, fwd[e.label]))
-        edges.append((e.dependent, e.head, rev[e.label]))
+        if e.label in ("", SELF):
+            raise ValueError(f"edge label {e.label!r} is empty or reserved for self-loops")
+        edges.append((e.head, e.dependent, f"{e.label}:fwd"))
+        edges.append((e.dependent, e.head, f"{e.label}:rev"))
     for i in range(1, tree.n + 1):
-        edges.append((i, i, SELF_LOOP))
+        edges.append((i, i, SELF))
     return SyntaxGraph(tree.n, tuple(edges))
 
 
@@ -125,7 +89,7 @@ class PathTable:
     range, and `word_pair[i - 1, j - 1]` is the id of path(i, j).
     """
 
-    alphabet: tuple[DirectedLabel, ...]
+    alphabet: tuple[str, ...]
     first: np.ndarray  # (U,) int64 into alphabet
     last: np.ndarray  # (U,) int64 into alphabet
     prefix: np.ndarray  # (U,) int64
@@ -136,7 +100,7 @@ class PathTable:
     def __len__(self):
         return len(self.last)
 
-    def labels(self, u: int) -> tuple[DirectedLabel, ...]:
+    def labels(self, u: int) -> tuple[str, ...]:
         out = []
         while u >= 0:
             out.append(self.alphabet[self.last[u]])
@@ -169,13 +133,13 @@ def path_table(graph: SyntaxGraph) -> PathTable:
     by length, keeping search order within a length.
     """
     n = graph.n
-    alphabet = tuple({label.key: label for _, _, label in graph.edges}.values())
-    label_id = {label.key: i for i, label in enumerate(alphabet)}
-    size, self_id = len(alphabet), label_id[SELF_BASE]
+    alphabet = tuple(dict.fromkeys(label for _, _, label in graph.edges))
+    label_id = {label: i for i, label in enumerate(alphabet)}
+    size, self_id = len(alphabet), label_id[SELF]
     adjacent = [[] for _ in range(n + 1)]  # non-self out-edges: (neighbour, label id)
     for u, v, label in graph.edges:
-        if label.direction is not Direction.SELF:
-            adjacent[u].append((v, label_id[label.key]))
+        if label != SELF:
+            adjacent[u].append((v, label_id[label]))
     ids = {self_id - size: 0}  # key -> id; 0 is the self-loop
     first, length, ends = [self_id], [1], [1, 1]  # ends: flat (first hop, target)
     rows = []
@@ -260,6 +224,13 @@ def _dot_string(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def label_parts(key: str) -> tuple[str, str]:
+    """(base, direction) of a directed label: ``nmod:poss:rev`` gives
+    ``("nmod:poss", "rev")`` and ``self`` gives ``("self", "self")``."""
+    base, _, direction = key.rpartition(":")
+    return (base, direction) if base else (key, key)
+
+
 def graph_to_dot(graph: SyntaxGraph, tree: DependencyTree) -> str:
     """DOT rendering: forward edges solid, reverse edges dashed, self-loops
     omitted for readability."""
@@ -267,10 +238,11 @@ def graph_to_dot(graph: SyntaxGraph, tree: DependencyTree) -> str:
     for i, form in enumerate(tree.forms, start=1):
         lines.append(f"  n{i} [label={_dot_string(form)}];")
     for u, v, label in graph.edges:
-        if label.direction is Direction.SELF:
+        if label == SELF:
             continue
-        style = "solid" if label.direction is Direction.FWD else "dashed"
-        lines.append(f"  n{u} -> n{v} [label={_dot_string(label.base)}, style={style}];")
+        base, direction = label_parts(label)
+        style = "solid" if direction == "fwd" else "dashed"
+        lines.append(f"  n{u} -> n{v} [label={_dot_string(base)}, style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -282,8 +254,9 @@ def graph_to_json(graph: SyntaxGraph, tree: DependencyTree) -> str:
         "words": list(tree.forms),
         "root": tree.root_index,
         "edges": [
-            {"from": u, "to": v, "label": label.base, "direction": label.direction.value}
+            {"from": u, "to": v, "label": base, "direction": direction}
             for u, v, label in graph.edges
+            for base, direction in [label_parts(label)]
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -29,13 +29,7 @@ from .gradcheck import check_gradient
 from .gru import gru_cell_forward
 from .pipeline import Model
 from .relation import LabelVocab, RelationEncoderParams
-from .syntax_graph import (
-    Direction,
-    DirectedLabel,
-    SELF_LOOP,
-    build_syntax_graph,
-    path_table,
-)
+from .syntax_graph import SELF, build_syntax_graph, path_table
 from .training import RegressionHead
 
 LABEL_POOL = ("nsubj", "obj", "det", "nmod", "case", "advmod", "amod", "punct")
@@ -124,11 +118,12 @@ def random_sentence_tree(
 
 def lca_walk(
     tree: DependencyTree, i: int, j: int
-) -> tuple[list[DirectedLabel], list[int]]:
-    """Labels and visited nodes of the path i -> j, found by climbing parent
-    pointers to the lowest common ancestor and descending to the target."""
+) -> tuple[list[str], list[int]]:
+    """Label keys (``L:rev`` going up, ``L:fwd`` going down) and visited
+    nodes of the path i -> j, found by climbing parent pointers to the
+    lowest common ancestor and descending to the target."""
     if i == j:
-        return [SELF_LOOP], [i]
+        return [SELF], [i]
     parent: dict[int, tuple[int, str]] = {
         e.dependent: (e.head, e.label) for e in tree.edges
     }
@@ -141,20 +136,20 @@ def lca_walk(
 
     on_j = set(ancestors(j))
     lca = next(node for node in ancestors(i) if node in on_j)
-    labels: list[DirectedLabel] = []
+    labels: list[str] = []
     nodes = [i]
     node = i
     while node != lca:
         head, label = parent[node]
-        labels.append(DirectedLabel(label, Direction.REV))
+        labels.append(f"{label}:rev")
         node = head
         nodes.append(node)
-    down_labels: list[DirectedLabel] = []
+    down_labels: list[str] = []
     down_nodes: list[int] = []
     node = j
     while node != lca:
         head, label = parent[node]
-        down_labels.append(DirectedLabel(label, Direction.FWD))
+        down_labels.append(f"{label}:fwd")
         down_nodes.append(node)
         node = head
     labels.extend(reversed(down_labels))
@@ -162,8 +157,14 @@ def lca_walk(
     return labels, nodes
 
 
-def lca_walk_path(tree: DependencyTree, i: int, j: int) -> list[DirectedLabel]:
+def lca_walk_path(tree: DependencyTree, i: int, j: int) -> list[str]:
     return lca_walk(tree, i, j)[0]
+
+
+def flip(key: str) -> str:
+    """The label of the same edge walked the other way; ``self`` is its own."""
+    base, _, direction = key.rpartition(":")
+    return {"fwd": f"{base}:rev", "rev": f"{base}:fwd"}.get(direction, key)
 
 
 def tree_distance(tree: DependencyTree, i: int, j: int) -> int:
@@ -259,21 +260,16 @@ def suite_graph(seed: int = 0, trees: int = 100, max_nodes: int = 20) -> SuiteRe
             j = int(rng.integers(1, n + 1))
             path = table.path(i, j)
             oracle_labels, oracle_nodes = lca_walk(tree, i, j)
-            if [l.key for l in path.labels] != [l.key for l in oracle_labels]:
+            if list(path.key) != oracle_labels:
                 oracle_mismatches += 1
-            back = table.path(j, i)
-            flipped = [l.flipped().key for l in reversed(path.labels)]
-            if [l.key for l in back.labels] != flipped:
+            if table.path(j, i).key != tuple(flip(l) for l in reversed(path.key)):
                 reversal_violations += 1
             if i != j and len(path) != tree_distance(tree, i, j):
                 length_violations += 1
             if i != j and len(path) >= 2:
                 # Split at an interior relay node taken from the oracle walk.
                 k = oracle_nodes[int(rng.integers(1, len(oracle_nodes) - 1))]
-                first = table.path(i, k)
-                second = table.path(k, j)
-                joined = [l.key for l in first.labels + second.labels]
-                if joined != [l.key for l in path.labels]:
+                if table.path(i, k).key + table.path(k, j).key != path.key:
                     concat_violations += 1
     checks = [
         ("edge_count_formula", edge_violations, "directed edges = 2(n-1) + n with n self-loops"),

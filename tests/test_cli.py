@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from sga.cli import main
+from sga.conllu import read_conllu
 from sga.pipeline import Model
 from sga.serialize import load_parameters
+from sga.syntax_graph import build_syntax_graph, graph_to_dot, graph_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FLIGHT = str(FIXTURES / "flight.conllu")
@@ -66,6 +68,34 @@ class TestPathsCommand:
         ]
         assert "0\t1\t2\tDogs\tbark\tnsubj:rev" in lines
         assert len(lines) == 1 + 4  # header + 2x2 ordered pairs
+
+
+class TestSubtypedLabels:
+    def test_subtype_colon_stays_in_the_base(self, tmp_path, capsys):
+        """UD subtypes such as ``nmod:poss`` keep their colon in the base label;
+        only the last colon separates the direction."""
+        poss = tmp_path / "poss.conllu"
+        poss.write_text(
+            "1\tthe\t_\t_\t_\t_\t2\tdet\t_\t_\n"
+            "2\tdog\t_\t_\t_\t_\t4\tnmod:poss\t_\t_\n"
+            "3\towner\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            "4\tbarked\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
+        )
+        tree = read_conllu(poss.read_text())[0]
+        graph = build_syntax_graph(tree)
+        edges = json.loads(graph_to_json(graph, tree))["edges"]
+        assert [e for e in edges if e["label"] == "nmod:poss"] == [
+            {"from": 4, "to": 2, "label": "nmod:poss", "direction": "fwd"},
+            {"from": 2, "to": 4, "label": "nmod:poss", "direction": "rev"},
+        ]
+        dot = graph_to_dot(graph, tree)
+        assert '  n4 -> n2 [label="nmod:poss", style=solid];' in dot
+        assert '  n2 -> n4 [label="nmod:poss", style=dashed];' in dot
+        assert main(["paths", str(poss)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "0\t4\t2\tbarked\tdog\tnmod:poss:fwd" in lines
+        assert "0\t2\t4\tdog\tbarked\tnmod:poss:rev" in lines
+        assert "0\t1\t3\tthe\towner\tdet:rev nmod:poss:rev nsubj:rev" in lines
 
 
 class TestEncodeCommand:
@@ -378,6 +408,29 @@ class TestConfigHandling:
             ["encode", MINIMAL, "--random-init", "--config", str(cfg)]
         ) == 2
         assert "nonsense" in capsys.readouterr().err
+
+    def test_duplicate_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d_model=16\nd_model=32\n")
+        assert main(["encode", MINIMAL, "--random-init", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: duplicate config key 'd_model'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["encode", "--random-init", "--out-dir"], ["toytrain", "--epochs", "0", "--out"],
+    ], ids=["encode", "toytrain"])
+    def test_overlong_sentence_names_file_and_sentence(self, tmp_path, capsys, command):
+        """The second sentence renders to 90 * 5 + 89 = 539 characters."""
+        words = [f"{i}\tabcde\t_\t_\t_\t_\t{i - 1}\t{'dep' if i > 1 else 'root'}\t_\t_"
+                 for i in range(1, 91)]
+        text = Path(MINIMAL).read_text() + "\n" + "\n".join(words) + "\n"
+        long_file = tmp_path / "long.conllu"
+        long_file.write_text(text)
+        name, *flags = command
+        assert main([name, str(long_file), *flags, str(tmp_path / "out"), *TOY]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"sga {name}: {long_file}: sentence 2: rendered sentence has 539 characters, "
+            "exceeding the configured maximum of 400"
+        )
 
     def test_max_chars_enforced(self, tmp_path, capsys):
         assert main(

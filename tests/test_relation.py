@@ -21,9 +21,7 @@ from sga.relation import (
     encode_paths,
 )
 from sga.syntax_graph import (
-    Direction,
-    DirectedLabel,
-    SELF_LOOP,
+    SELF,
     build_syntax_graph,
     distinct_paths,
     expand_to_characters,
@@ -68,9 +66,8 @@ class TestLabelVocab:
 
     def test_unseen_label_maps_to_unk(self):
         vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
-        unseen = DirectedLabel("xcomp", Direction.FWD)
-        assert vocab.index_of(unseen) == 1
-        assert vocab.index_of(SELF_LOOP) == 0
+        assert vocab.index_of("xcomp:fwd") == 1
+        assert vocab.index_of(SELF) == 0
 
 
 def numpy_bigru(path_ids, params):
@@ -223,7 +220,7 @@ class TestEncodePath:
         monkeypatch.setattr(relation, "gru_level", counting)
         rel = model.encode_relations(sentence)
         vocab = model.label_vocab
-        ids = [tuple(vocab.index_of(label) for label in p.labels) for p in rel.paths]
+        ids = [tuple(vocab.index_of(label) for label in p.key) for p in rel.paths]
         prefixes = {seq[:k] for seq in ids for k in range(1, len(seq) + 1)}
         suffixes = {seq[k:] for seq in ids for k in range(len(seq))}
         longest = max(map(len, ids))
@@ -244,7 +241,7 @@ class TestEncodePath:
         assert len(paths) > 50
         batch = model.encode_relations(model.prepare(tree)).encodings
         for row, path in zip(batch.data, paths):
-            alone = lone_path_encoding(path.labels, model.relation, model.label_vocab)
+            alone = lone_path_encoding(path.key, model.relation, model.label_vocab)
             assert np.array_equal(alone.data[0], row)
 
 
@@ -368,28 +365,18 @@ class TestDistinctBatch:
         for ci in range(0, m, 5):
             for cj in range(0, m, 7):
                 path = cmap.table.path(cmap.word_of_char[ci], cmap.word_of_char[cj])
-                naive = lone_path_encoding(path.labels, params, vocab)
+                naive = lone_path_encoding(path.key, params, vocab)
                 assert np.array_equal(naive.data[0], scattered[ci, cj])
 
 
 class TestRelationTensor:
-    def test_forward_builds_no_path_objects_and_each_key_once(self, flight_tree, monkeypatch):
-        """Prepare and forward work on path ids: no RelationPath is built,
-        and each edge label's key string is made once, with the one label
-        object of its (label, direction)."""
+    def test_forward_builds_no_path_objects(self, flight_tree, monkeypatch):
+        """Prepare and forward work on path ids: no RelationPath is built."""
         model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
-        built, made = [], []
-        post_init = DirectedLabel.__post_init__
-
-        def counting_post_init(label):
-            post_init(label)
-            made.append(label.key)
-
-        monkeypatch.setattr(DirectedLabel, "__post_init__", counting_post_init)
+        built = []
         monkeypatch.setattr(syntax_graph, "RelationPath", lambda *args: built.append(args))
         model.forward(model.prepare(flight_tree))
         assert built == []
-        assert made and len(made) == len(set(made))
 
     def test_zeroed_keeps_structure(self, flight_tree):
         graph = build_syntax_graph(flight_tree)

@@ -1,5 +1,7 @@
 """Binary parameter format: round trips, determinism, and corruption handling."""
 
+import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -47,6 +49,14 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.sga"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
+        load_parameters(path)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "bad.sga"
+    name = b"\xffw"  # one rank-0 parameter whose name bytes are not UTF-8
+    path.write_bytes(MAGIC + struct.pack("<I", len(name)) + name + struct.pack("<Id", 0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter name is not valid UTF-8")):
         load_parameters(path)
 
 

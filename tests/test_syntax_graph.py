@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from sga.conllu import DependencyTree, Edge, align_characters
 from sga.syntax_graph import (
-    Direction,
-    DirectedLabel,
-    SELF_LOOP,
+    SELF,
     build_syntax_graph,
     distinct_paths,
     expand_to_characters,
@@ -20,13 +18,13 @@ from sga.syntax_graph import (
     graph_to_json,
     path_table,
 )
-from sga.verify import lca_walk, lca_walk_path, random_tree, tree_distance
+from sga.verify import flip, lca_walk, lca_walk_path, random_tree, tree_distance
 
 TWO_WORD = DependencyTree(("Dogs", "bark"), (Edge(2, 1, "nsubj"),), 2)
 
 
 def keys(path):
-    return [label.key for label in path.labels]
+    return list(path.key)
 
 
 def char_path(cmap, ci, cj):
@@ -41,11 +39,7 @@ class TestBuildGraph:
 
     def test_two_words(self):
         graph = build_syntax_graph(TWO_WORD)
-        non_self = {
-            (u, v, label.key)
-            for u, v, label in graph.edges
-            if label.direction is not Direction.SELF
-        }
+        non_self = {(u, v, label) for u, v, label in graph.edges if label != SELF}
         assert non_self == {(2, 1, "nsubj:fwd"), (1, 2, "nsubj:rev")}
         assert graph.self_loop_count == 2
 
@@ -55,9 +49,9 @@ class TestBuildGraph:
         assert len(graph.edges) == 2 * (n - 1) + n == 22
         assert graph.self_loop_count == n == 8
 
-    def test_one_label_object_per_label_and_direction(self, flight_tree):
-        """Equal labels of one tree share one object, whose key is a plain
-        field that equality and repr ignore."""
+    def test_one_key_per_label_and_direction(self, flight_tree):
+        """Each tree label gives one ``:fwd`` and one ``:rev`` key, and every
+        word one ``self`` key."""
         repeated = DependencyTree(
             ("a", "b", "c", "d"), (Edge(2, 1, "amod"), Edge(2, 3, "amod"), Edge(3, 4, "case")), 2
         )
@@ -70,26 +64,22 @@ class TestBuildGraph:
             repeated: ["amod:fwd", "amod:rev", "case:fwd", "case:rev", "self"],
         }
         for tree, keys in expected.items():
-            graph = build_syntax_graph(tree)
-            labels = list({id(label): label for _, _, label in graph.edges}.values())
+            labels = {label for _, _, label in build_syntax_graph(tree).edges}
             assert len(labels) == 2 * len({e.label for e in tree.edges}) + 1
-            assert sorted(label.key for label in labels) == keys
-            for label in labels:
-                assert label == DirectedLabel(label.base, label.direction)
-                assert "key" not in repr(label)
+            assert sorted(labels) == keys
 
     def test_reserved_self_label(self):
-        with pytest.raises(ValueError):
-            DirectedLabel("self", Direction.FWD)
-        with pytest.raises(ValueError):
-            DirectedLabel("nsubj", Direction.SELF)
+        for label in ("self", ""):
+            tree = DependencyTree(("a", "b"), (Edge(1, 2, label),), 1)
+            with pytest.raises(ValueError, match=f"edge label '{label}'"):
+                build_syntax_graph(tree)
 
 
 class TestShortestPath:
     def test_self_pair(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
         path = path_table(graph).path(3, 3)
-        assert path.labels == (SELF_LOOP,)
+        assert path.key == (SELF,)
 
     def test_adjacent_pairs(self):
         graph = build_syntax_graph(TWO_WORD)
@@ -128,9 +118,9 @@ class TestPathProperties:
             j = int(rng.integers(1, tree.n + 1))
             path = table.path(i, j)
             oracle_labels, oracle_nodes = lca_walk(tree, i, j)
-            assert keys(path) == [l.key for l in oracle_labels]
+            assert keys(path) == oracle_labels
             back = table.path(j, i)
-            assert keys(back) == [l.flipped().key for l in reversed(path.labels)]
+            assert keys(back) == [flip(l) for l in reversed(path.key)]
             if i != j:
                 assert len(path) == tree_distance(tree, i, j)
                 if len(oracle_nodes) > 2:
@@ -145,9 +135,9 @@ class TestPathProperties:
             for j in range(1, 9):
                 path = table.path(i, j)
                 if i == j:
-                    assert path.labels == (SELF_LOOP,)
+                    assert path.key == (SELF,)
                 else:
-                    assert all(l.direction is not Direction.SELF for l in path.labels)
+                    assert SELF not in path.key
 
 
 class TestCharacterExpansion:
@@ -157,7 +147,7 @@ class TestCharacterExpansion:
         assert cmap.word_of_char == (1, 1)
         for ci in range(2):
             for cj in range(2):
-                assert char_path(cmap, ci, cj).labels == (SELF_LOOP,)
+                assert char_path(cmap, ci, cj).key == (SELF,)
 
     def test_same_word_chars_share_the_path_object(self):
         tree = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
@@ -165,7 +155,7 @@ class TestCharacterExpansion:
         # chars: a(0) b(1) of word 1, c(2) of word 2
         pairs = cmap.pair_index()
         assert pairs[0, 2] == pairs[1, 2]
-        assert char_path(cmap, 0, 2).labels == char_path(cmap, 1, 2).labels
+        assert char_path(cmap, 0, 2).key == char_path(cmap, 1, 2).key
 
     def test_flight_fixture_counts(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
@@ -226,7 +216,7 @@ class TestDistinctPaths:
         unique, table = distinct_paths(cmap)
         # Independent enumeration of distinct label sequences over word pairs.
         def oracle(i, j):
-            return tuple(label.key for label in lca_walk_path(flight_tree, i, j))
+            return tuple(lca_walk_path(flight_tree, i, j))
 
         words = range(1, flight_tree.n + 1)
         expected = {oracle(i, j) for i in words for j in words}
@@ -246,7 +236,7 @@ class TestPathTable:
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(1, 13)))
         table = path_table(build_syntax_graph(tree))
-        assert len({label.key for label in table.alphabet}) == len(table.alphabet)
+        assert len(set(table.alphabet)) == len(table.alphabet)
         for u in range(len(table)):
             labels = table.labels(u)
             first, last = table.alphabet[table.first[u]], table.alphabet[table.last[u]]
@@ -263,7 +253,7 @@ class TestPathTable:
         for i in range(1, tree.n + 1):
             for j in range(1, tree.n + 1):
                 path = table.path(i, j)
-                assert path.labels == tuple(lca_walk_path(tree, i, j))
+                assert path.key == tuple(lca_walk_path(tree, i, j))
                 keys.add(path.key)
         assert len(keys) == len(table)
 
