@@ -8,6 +8,7 @@ from pathlib import Path
 
 from sga.config import PipelineConfig
 from sga.conllu import read_conllu
+from sga.errors import read_utf8
 from sga.pipeline import Model
 from sga.training import toy_train, write_loss_curve
 
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(corpus, epochs, lr, warmup, seed):
-    trees = read_conllu(Path(corpus).read_text(encoding="utf-8"))
+    trees = read_conllu(read_utf8(corpus))
     model = Model.create(PipelineConfig.toy(seed=seed), trees)
     sentences = [model.prepare(t) for t in trees]
     return toy_train(model, sentences, epochs=epochs, lr=lr, warmup_steps=warmup)

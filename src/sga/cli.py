@@ -18,7 +18,7 @@ from . import __version__
 from .autodiff import Parameter
 from .config import PipelineConfig, load_config, resolve_seed
 from .conllu import read_conllu
-from .errors import NumericError
+from .errors import NumericError, read_utf8
 from .pipeline import Model
 from .serialize import load_into, save_parameters
 from .syntax_graph import (
@@ -37,8 +37,7 @@ USAGE_ERRORS = (ValueError, NumericError, OSError)
 
 
 def _read_trees(path: str):
-    text = Path(path).read_text(encoding="utf-8-sig")
-    trees = read_conllu(text)
+    trees = read_conllu(read_utf8(path))
     if not trees:
         raise ValueError(f"{path}: no sentences found")
     return trees
@@ -146,11 +145,14 @@ def cmd_encode(args) -> int:
     model = Model.create(config, trees)
     if args.params:
         load_into(model.parameters(), args.params)
+    # Every sentence is prepared before anything is written, so a bad one
+    # leaves no partial output directory.
+    sentences = list(_prepared(model, args.input, trees))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     embeddings = []
-    for idx, sentence in enumerate(_prepared(model, args.input, trees)):
+    for idx, sentence in enumerate(sentences):
         output, maps = model.forward(
             sentence,
             collect_attention=True,
@@ -159,10 +161,10 @@ def cmd_encode(args) -> int:
         )
         for amap in maps:
             name = f"attn_s{idx:04d}_b{amap.block}_h{amap.head}.csv"
-            _write_attention_csv(out_dir / name, sentence.alignment.chars, amap.weights)
+            _write_attention_csv(out_dir / name, sentence.char_map.chars, amap.weights)
             if args.dump_scores:
                 name = f"scores_s{idx:04d}_b{amap.block}_h{amap.head}.csv"
-                _write_attention_csv(out_dir / name, sentence.alignment.chars, amap.scores)
+                _write_attention_csv(out_dir / name, sentence.char_map.chars, amap.scores)
         # The relation dump is skipped in the two reference modes so that
         # --zero-relations and --baseline write byte-identical directories.
         if not args.baseline and not args.zero_relations:
@@ -171,7 +173,7 @@ def cmd_encode(args) -> int:
                 "n": sentence.n_chars,
                 "paths": [list(path.key) for path in unique],
                 "pair_index": table.tolist(),
-                "chars": list(sentence.alignment.chars),
+                "chars": list(sentence.char_map.chars),
             }
             (out_dir / f"relations_s{idx:04d}.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

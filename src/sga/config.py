@@ -11,7 +11,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from .conllu import DEFAULT_MAX_CHARS
+from .errors import read_utf8
 
 SEED_ENV_VAR = "SGA_SEED"
 
@@ -36,7 +36,7 @@ class PipelineConfig:
     d_ff: int = 1024
     seed: int = 0
     use_positions: bool = True
-    max_chars: int = DEFAULT_MAX_CHARS
+    max_chars: int = 400
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -73,7 +73,7 @@ def _coerce(field: dataclasses.Field, raw: str):
 
 def load_config(path, **overrides) -> PipelineConfig:
     """Parse a flat key=value config file; '#' starts a comment line, and a
-    UTF-8 byte-order mark is skipped.
+    UTF-8 byte-order mark is skipped (see `errors.read_utf8`).
     `overrides` (CLI flags) replace the file's values before the config is
     validated, so a flag can repair a file. Errors name the file, and the
     line of a key whose value is bad on its own."""
@@ -81,24 +81,23 @@ def load_config(path, **overrides) -> PipelineConfig:
         _check_field(key, value)
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     values = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-            try:
-                values[key] = _coerce(fields[key], value.strip())
-                _check_field(key, values[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(read_utf8(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in fields:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
+        try:
+            values[key] = _coerce(fields[key], value.strip())
+            _check_field(key, values[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
         return PipelineConfig(**{**values, **overrides})
     except ValueError as exc:

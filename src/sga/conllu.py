@@ -1,13 +1,9 @@
-"""Read dependency parses from CoNLL-U text and align characters to words.
+"""Read dependency parses from CoNLL-U text.
 
 Only the ID, FORM, HEAD and DEPREL columns are consumed. Multiword-token
 ranges (``3-4``) and empty nodes (``5.1``) are skipped; enhanced dependency
 graphs are out of scope. Parsing itself happens upstream -- this module
 ingests its output.
-
-The character alignment holds only the characters that become attention
-nodes, the words' own characters; the spaces of the rendered sentence
-count toward its length bound and nothing else.
 
 All functions here are pure over immutable inputs and safe to call
 concurrently.
@@ -19,8 +15,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, StructureError
-
-DEFAULT_MAX_CHARS = 400
 
 
 @dataclass(frozen=True)
@@ -44,15 +38,6 @@ class DependencyTree:
 
     def form(self, index: int) -> str:
         return self.forms[index - 1]
-
-
-@dataclass(frozen=True)
-class CharAlignment:
-    """The characters that become attention nodes: the words' characters in
-    order, without separators, and the 1-based word index of each one."""
-
-    chars: str
-    word_of_char: tuple[int, ...]
 
 
 # ASCII digits only: str.isdigit and int() also take digits such as '²'.
@@ -169,21 +154,3 @@ def to_conllu(tree: DependencyTree) -> str:
         deprel = "root" if edge is None else edge.label
         lines.append(f"{i}\t{form}\t_\t_\t_\t_\t{head}\t{deprel}\t_\t_")
     return "\n".join(lines) + "\n"
-
-
-def align_characters(
-    tree: DependencyTree, max_chars: int = DEFAULT_MAX_CHARS
-) -> CharAlignment:
-    """Map every character of the words to its word. The sentence rendered
-    with single spaces between words, spaces included, must fit in
-    `max_chars`; the spaces themselves are not attention nodes."""
-    if tree.n == 0:
-        raise ValueError("cannot align an empty tree")
-    length = len(" ".join(tree.forms))
-    if length > max_chars:
-        raise ValueError(
-            f"rendered sentence has {length} characters, exceeding the "
-            f"configured maximum of {max_chars}"
-        )
-    word_of_char = tuple(i for i, form in enumerate(tree.forms, start=1) for _ in form)
-    return CharAlignment(chars="".join(tree.forms), word_of_char=word_of_char)

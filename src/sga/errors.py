@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that turns a decoding failure into an error naming the file and line."""
+
+import codecs
+from pathlib import Path
+
+
+def read_utf8(path) -> str:
+    """The text of `path`, a leading UTF-8 byte-order mark skipped and line
+    ends read as ``\\n`` (as `open` reads them). A byte sequence that is not
+    UTF-8 raises ValueError ``PATH:LINE: not valid UTF-8``."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
+        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class ShapeError(ValueError):

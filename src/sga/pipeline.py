@@ -9,14 +9,10 @@ import numpy as np
 
 from .autodiff import Parameter
 from .config import PipelineConfig
-from .conllu import CharAlignment, DependencyTree, align_characters
+from .conllu import DependencyTree
 from .encoder import EncoderStackParams, encoder_forward
 from .relation import LabelVocab, RelationEncoderParams, RelationTensor, encode_paths
-from .syntax_graph import (
-    CharRelationMap,
-    build_syntax_graph,
-    expand_to_characters,
-)
+from .syntax_graph import CharRelationMap, build_syntax_graph, expand_to_characters
 
 
 def build_char_vocab(trees: Sequence[DependencyTree]) -> dict[str, int]:
@@ -32,28 +28,8 @@ class Sentence:
     """Structure derived from one parse, independent of any parameters."""
 
     tree: DependencyTree
-    alignment: CharAlignment
     char_map: CharRelationMap
     char_ids: np.ndarray
-
-    @classmethod
-    def prepare(
-        cls, tree: DependencyTree, char_vocab: dict[str, int], max_chars: int
-    ) -> "Sentence":
-        alignment = align_characters(tree, max_chars=max_chars)
-        char_map = expand_to_characters(build_syntax_graph(tree), alignment)
-        missing = set(alignment.chars) - char_vocab.keys()
-        if missing:
-            raise ValueError(
-                f"characters {sorted(missing)!r} missing from the vocabulary"
-            )
-        ids = np.asarray([char_vocab[c] for c in alignment.chars], dtype=np.int64)
-        return cls(
-            tree=tree,
-            alignment=alignment,
-            char_map=char_map,
-            char_ids=ids,
-        )
 
     @property
     def n_chars(self) -> int:
@@ -106,7 +82,23 @@ class Model:
         return self.relation.parameters() + self.stack.parameters()
 
     def prepare(self, tree: DependencyTree) -> Sentence:
-        return Sentence.prepare(tree, self.char_vocab, self.config.max_chars)
+        """The character map and character ids of one parse. The sentence
+        rendered with single spaces between words, spaces included, must
+        fit in `max_chars`, and its characters must be in the vocabulary."""
+        length = len(" ".join(tree.forms))
+        if length > self.config.max_chars:
+            raise ValueError(
+                f"rendered sentence has {length} characters, exceeding the "
+                f"configured maximum of {self.config.max_chars}"
+            )
+        char_map = expand_to_characters(tree)
+        missing = set(char_map.chars) - self.char_vocab.keys()
+        if missing:
+            raise ValueError(
+                f"characters {sorted(missing)!r} missing from the vocabulary"
+            )
+        ids = np.asarray([self.char_vocab[c] for c in char_map.chars], dtype=np.int64)
+        return Sentence(tree=tree, char_map=char_map, char_ids=ids)
 
     def encode_relations(self, sentence: Sentence) -> RelationTensor:
         cmap = sentence.char_map

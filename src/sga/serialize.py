@@ -12,6 +12,7 @@ shape bookkeeping, and that every value is finite.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterable
 
@@ -66,7 +67,7 @@ def load_parameters(path) -> dict[str, np.ndarray]:
         offset += name_len
         rank = read_u32()
         shape = tuple(read_u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: np.prod wraps at 2**63
         end = offset + 8 * count
         if end > len(blob):
             raise ValueError(f"{path}: truncated payload for {name!r}")

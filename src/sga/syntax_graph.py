@@ -19,7 +19,9 @@ and a consumer looks each distinct label up once. The search reads the
 graph's edge list directly. `RelationPath` objects are rebuilt from that
 table only on request.
 Characters of one word share the word's paths, so a character pair reads
-the path of its two words.
+the path of its two words. `expand_to_characters` builds a sentence's
+character map -- its characters, the word of each, and the path table --
+in one call; the spaces between words are not attention nodes.
 
 Everything here is pure and immutable; safe for concurrent use.
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conllu import CharAlignment, DependencyTree
+from .conllu import DependencyTree
 
 SELF = "self"
 
@@ -184,9 +186,12 @@ def path_table(graph: SyntaxGraph) -> PathTable:
 
 @dataclass(frozen=True)
 class CharRelationMap:
-    """The sentence's path table plus the word index of each character; a
+    """One sentence's attention nodes and the paths between them. `chars`
+    are the words' characters in order, without separators, `word_of_char`
+    the 1-based word of each, and `table` the sentence's path table; a
     character pair reads the path of its word pair."""
 
+    chars: str
     word_of_char: tuple[int, ...]
     table: PathTable
 
@@ -196,15 +201,18 @@ class CharRelationMap:
         return self.table.word_pair[chars[:, None], chars[None, :]]
 
 
-def expand_to_characters(graph: SyntaxGraph, alignment: CharAlignment) -> CharRelationMap:
-    """Build the path table and map every character to its word. Raises
-    if the alignment does not cover exactly the graph's words."""
-    covered = set(alignment.word_of_char)
-    if covered != set(range(1, graph.n + 1)):
-        raise ValueError(
-            f"alignment covers words {sorted(covered)}, graph has 1..{graph.n}"
-        )
-    return CharRelationMap(alignment.word_of_char, path_table(graph))
+def expand_to_characters(tree: DependencyTree) -> CharRelationMap:
+    """Map every character of the words to its word and build the path
+    table of the tree's syntax graph. Raises on an empty tree or an empty
+    word form, whose word would own no character."""
+    if tree.n == 0:
+        raise ValueError("cannot expand an empty tree")
+    if "" in tree.forms:
+        raise ValueError(f"word {tree.forms.index('') + 1} has an empty form")
+    word_of_char = tuple(i for i, form in enumerate(tree.forms, start=1) for _ in form)
+    return CharRelationMap(
+        "".join(tree.forms), word_of_char, path_table(build_syntax_graph(tree))
+    )
 
 
 def distinct_paths(cmap: CharRelationMap) -> tuple[list[RelationPath], np.ndarray]:

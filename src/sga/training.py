@@ -114,7 +114,7 @@ def pseudo_targets(sentence: Sentence, dim: int = DEFAULT_TARGET_DIM) -> np.ndar
     of (word form, offset within word); identical across runs and platforms."""
     targets = np.zeros((sentence.n_chars, dim))
     offsets: dict[int, int] = {}
-    for row, word_idx in enumerate(sentence.alignment.word_of_char):
+    for row, word_idx in enumerate(sentence.char_map.word_of_char):
         offset = offsets.get(word_idx, 0)
         offsets[word_idx] = offset + 1
         form = sentence.tree.form(word_idx)

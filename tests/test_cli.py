@@ -189,7 +189,7 @@ class TestEncodeCommand:
         encode = Model.encode_relations
 
         def counted(model, sentence):
-            calls.append(sentence.alignment.chars)
+            calls.append(sentence.char_map.chars)
             return encode(model, sentence)
 
         monkeypatch.setattr(Model, "encode_relations", counted)
@@ -431,6 +431,33 @@ class TestConfigHandling:
             f"sga {name}: {long_file}: sentence 2: rendered sentence has 539 characters, "
             "exceeding the configured maximum of 400"
         )
+
+    def test_failed_encode_leaves_no_output(self, tmp_path, capsys):
+        """Every sentence is prepared before the output directory is made,
+        so an over-long second sentence leaves nothing behind."""
+        words = [f"{i}\tabcdefg\t_\t_\t_\t_\t{i - 1}\t{'dep' if i > 1 else 'root'}\t_\t_"
+                 for i in range(1, 91)]
+        long_file = tmp_path / "long.conllu"
+        long_file.write_text(Path(MINIMAL).read_text() + "\n" + "\n".join(words) + "\n")
+        out = tmp_path / "out"
+        assert main(["encode", str(long_file), "--random-init", *TOY, "--out-dir", str(out)]) == 2
+        assert "sentence 2: rendered sentence has 719 characters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["conllu", "config"])
+    def test_non_utf8_input_names_its_line(self, tmp_path, capsys, reader):
+        """A bad byte on line 2 is reported at line 2, behind a BOM too."""
+        conllu, cfg = tmp_path / "in.conllu", tmp_path / "run.cfg"
+        conllu.write_bytes(Path(MINIMAL).read_bytes())
+        cfg.write_text("d_model=16\nheads=2\n")
+        bad = conllu if reader == "conllu" else cfg
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] = lines[1][:2] + b"\xff" + lines[1][2:]
+        bad.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+        argv = ["encode", str(conllu), "--random-init", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"sga encode: {bad}:2: not valid UTF-8\n"
 
     def test_max_chars_enforced(self, tmp_path, capsys):
         assert main(

@@ -1,18 +1,15 @@
-"""CoNLL-U ingestion and character alignment."""
+"""CoNLL-U ingestion, and the character map a parsed sentence becomes."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sga.conllu import (
-    DependencyTree,
-    Edge,
-    align_characters,
-    read_conllu,
-    to_conllu,
-)
+from sga.config import PipelineConfig
+from sga.conllu import DependencyTree, Edge, read_conllu, to_conllu
 from sga.errors import ParseError, StructureError
+from sga.pipeline import Model
+from sga.syntax_graph import expand_to_characters
 from sga.verify import random_tree
 
 TWO_TOKEN = (
@@ -137,45 +134,55 @@ class TestTreeShape:
 
 
 class TestAlignment:
+    """`expand_to_characters` maps each word character to its word;
+    `Model.prepare` bounds the rendered sentence."""
+
     def test_two_words(self):
         tree = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
-        alignment = align_characters(tree)
-        assert alignment.chars == "abc"
-        assert alignment.word_of_char == (1, 1, 2)
+        cmap = expand_to_characters(tree)
+        assert cmap.chars == "abc"
+        assert cmap.word_of_char == (1, 1, 2)
 
     def test_single_word_has_no_separators(self):
         tree = DependencyTree(("hi",), (), 1)
-        alignment = align_characters(tree)
-        assert alignment.chars == "hi"
-        assert alignment.word_of_char == (1, 1)
+        cmap = expand_to_characters(tree)
+        assert cmap.chars == "hi"
+        assert cmap.word_of_char == (1, 1)
 
     def test_flight_fixture_counts(self, flight_tree):
-        alignment = align_characters(flight_tree)
+        cmap = expand_to_characters(flight_tree)
         assert len(" ".join(flight_tree.forms)) == 44
-        assert len(alignment.chars) == len(alignment.word_of_char) == 37
+        assert len(cmap.chars) == len(cmap.word_of_char) == 37
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
-            align_characters(DependencyTree((), (), 0))
+            expand_to_characters(DependencyTree((), (), 0))
 
     def test_max_chars_enforced(self, flight_tree):
+        model = Model.create(PipelineConfig.toy(max_chars=10), [flight_tree])
         with pytest.raises(ValueError, match="maximum"):
-            align_characters(flight_tree, max_chars=10)
+            model.prepare(flight_tree)
 
     def test_max_chars_counts_the_spaces(self, flight_tree):
         """The bound covers the rendered sentence, separators included,
         though the separators are not attention nodes."""
-        assert len(align_characters(flight_tree, max_chars=44).chars) == 37
-        with pytest.raises(ValueError, match="has 44 characters"):
-            align_characters(flight_tree, max_chars=43)
+        fits = Model.create(PipelineConfig.toy(max_chars=44), [flight_tree])
+        assert fits.prepare(flight_tree).n_chars == 37
+        over = Model.create(PipelineConfig.toy(max_chars=43), [flight_tree])
+        with pytest.raises(
+            ValueError,
+            match="rendered sentence has 44 characters, exceeding the "
+            "configured maximum of 43",
+        ):
+            over.prepare(flight_tree)
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_concatenation_reproduces_rendering(self, seed):
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(1, 10)))
-        alignment = align_characters(tree)
-        assert alignment.chars == "".join(tree.forms)
+        cmap = expand_to_characters(tree)
+        assert cmap.chars == "".join(tree.forms)
         # Each word owns its characters, in order.
         for i, form in enumerate(tree.forms, start=1):
-            owned = [c for c, w in zip(alignment.chars, alignment.word_of_char) if w == i]
+            owned = [c for c, w in zip(cmap.chars, cmap.word_of_char) if w == i]
             assert "".join(owned) == form

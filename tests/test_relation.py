@@ -9,7 +9,7 @@ from sga import relation, syntax_graph
 from sga.autodiff import (
     Tensor, backward, concat_last, mul, recording, sum_all, take, zero_gradients,
 )
-from sga.conllu import DependencyTree, Edge, align_characters
+from sga.conllu import DependencyTree, Edge
 from sga.config import PipelineConfig
 from sga.gradcheck import check_gradient
 from sga.gru import gru_cell_forward
@@ -38,10 +38,6 @@ def chain(*labels):
     labels[0]:fwd ... labels[-1]:fwd."""
     edges = tuple(Edge(i, i + 1, label) for i, label in enumerate(labels, start=1))
     return DependencyTree(tuple("abcdefgh"[: len(labels) + 1]), edges, 1)
-
-
-def char_map(tree):
-    return expand_to_characters(build_syntax_graph(tree), align_characters(tree))
 
 
 def relation_tensor(cmap, params, vocab):
@@ -96,7 +92,7 @@ class TestEncodePath:
     def test_zero_gru_params_give_zero_encoding(self):
         rng = np.random.default_rng(0)
         tree = chain("nsubj", "obj", "det")
-        cmap = char_map(tree)
+        cmap = expand_to_characters(tree)
         vocab = LabelVocab.build([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=5, rng=rng)
         for p in params.gru_fwd.parameters() + params.gru_bwd.parameters():
@@ -124,7 +120,7 @@ class TestEncodePath:
         expected = z * math.tanh(values["w_h"] * e + values["b_h"])
 
         vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
-        table = char_map(TWO_WORD).table
+        table = expand_to_characters(TWO_WORD).table
         assert list(table.length) == [1, 1, 1]
         out = encode_paths(table, params, vocab)
         np.testing.assert_allclose(out.data, np.full((3, 2), expected), atol=1e-14)
@@ -135,7 +131,7 @@ class TestEncodePath:
         tree = chain("a", "b", "a")
         vocab = LabelVocab.build([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=4, d_h=4, rng=rng)
-        table = char_map(tree).table
+        table = expand_to_characters(tree).table
         out = encode_paths(table, params, vocab).data
         ab, ba = table.path(1, 3), table.path(2, 4)
         assert ab.key == ("a:fwd", "b:fwd") and ba.key == ("b:fwd", "a:fwd")
@@ -155,7 +151,7 @@ class TestEncodePath:
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=3, rng=rng)
         rows = []
         for tree, (i, j) in ((one, (1, 3)), (two, (2, 5))):
-            table = char_map(tree).table
+            table = expand_to_characters(tree).table
             assert table.path(i, j).key == ("nsubj:rev", "obj:fwd")
             rows.append(encode_paths(table, params, vocab).data[table.word_pair[i - 1, j - 1]])
         assert np.array_equal(rows[0], rows[1])
@@ -173,7 +169,7 @@ class TestEncodePath:
         )
         vocab = LabelVocab.build([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=3, rng=rng)
-        table = char_map(tree).table
+        table = expand_to_characters(tree).table
         assert table.path(1, 4).key == ("a:rev", "b:fwd", "a:fwd")
         probe = Tensor(rng.standard_normal((len(table), 6)))
         report = check_gradient(
@@ -192,7 +188,7 @@ class TestEncodePath:
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=4, rng=rng)
         for p in params.parameters():
             p.assign(rng.standard_normal(p.data.shape))
-        table = char_map(tree).table
+        table = expand_to_characters(tree).table
         out = encode_paths(table, params, vocab)
         for i in range(1, tree.n + 1):
             for j in range(1, tree.n + 1):
@@ -291,7 +287,7 @@ class TestFusedLevels:
         params = RelationEncoderParams.create(len(vocab), d_e=d_e, d_h=d_h, rng=rng)
         for p in params.parameters():
             p.assign(0.5 * rng.standard_normal(p.data.shape))
-        table = char_map(tree).table
+        table = expand_to_characters(tree).table
         alphabet_ids = np.array([vocab.index_of(label) for label in table.alphabet])
         for labels, parent in ((table.last, table.prefix), (table.first, table.suffix)):
             ids = alphabet_ids[labels]
@@ -344,7 +340,7 @@ class TestFusedLevels:
 class TestDistinctBatch:
     def test_flight_fixture_encodes_distinct_only(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
-        cmap = expand_to_characters(graph, align_characters(flight_tree))
+        cmap = expand_to_characters(flight_tree)
         unique, table = distinct_paths(cmap)
         assert len(unique) <= 64 < 37 * 37
         rng = np.random.default_rng(2)
@@ -355,7 +351,7 @@ class TestDistinctBatch:
 
     def test_scatter_equals_naive_per_pair(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
-        cmap = expand_to_characters(graph, align_characters(flight_tree))
+        cmap = expand_to_characters(flight_tree)
         rng = np.random.default_rng(3)
         params = RelationEncoderParams.create(16, 3, 3, rng)
         vocab = LabelVocab.build([graph])
@@ -380,7 +376,7 @@ class TestRelationTensor:
 
     def test_zeroed_keeps_structure(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
-        cmap = expand_to_characters(graph, align_characters(flight_tree))
+        cmap = expand_to_characters(flight_tree)
         params = RelationEncoderParams.create(16, 3, 4, np.random.default_rng(7))
         vocab = LabelVocab.build([graph])
         rel = relation_tensor(cmap, params, vocab)
@@ -390,7 +386,7 @@ class TestRelationTensor:
 
     def test_incomplete_detected(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
-        cmap = expand_to_characters(graph, align_characters(flight_tree))
+        cmap = expand_to_characters(flight_tree)
         params = RelationEncoderParams.create(16, 3, 4, np.random.default_rng(8))
         vocab = LabelVocab.build([graph])
         rel = relation_tensor(cmap, params, vocab)

@@ -60,6 +60,15 @@ def test_non_utf8_name_rejected(tmp_path):
         load_parameters(path)
 
 
+def test_huge_shape_reads_as_truncated(tmp_path):
+    """2**21 * 2**21 * 2**22 = 2**64 values: the count must not wrap to 0."""
+    path = tmp_path / "huge.sga"
+    shape = struct.pack("<4I", 3, 2**21, 2**21, 2**22)
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + b"w" + shape + struct.pack("<d", 1.0))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload for 'w'")):
+        load_parameters(path)
+
+
 def test_truncated_file_rejected(tmp_path):
     rng = np.random.default_rng(2)
     path = tmp_path / "cut.sga"

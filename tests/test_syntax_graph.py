@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sga.conllu import DependencyTree, Edge, align_characters
+from sga.conllu import DependencyTree, Edge
 from sga.syntax_graph import (
     SELF,
     build_syntax_graph,
@@ -143,7 +143,7 @@ class TestPathProperties:
 class TestCharacterExpansion:
     def test_single_word_all_pairs_self(self):
         tree = DependencyTree(("ab",), (), 1)
-        cmap = expand_to_characters(build_syntax_graph(tree), align_characters(tree))
+        cmap = expand_to_characters(tree)
         assert cmap.word_of_char == (1, 1)
         for ci in range(2):
             for cj in range(2):
@@ -151,34 +151,32 @@ class TestCharacterExpansion:
 
     def test_same_word_chars_share_the_path_object(self):
         tree = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
-        cmap = expand_to_characters(build_syntax_graph(tree), align_characters(tree))
+        cmap = expand_to_characters(tree)
         # chars: a(0) b(1) of word 1, c(2) of word 2
         pairs = cmap.pair_index()
         assert pairs[0, 2] == pairs[1, 2]
         assert char_path(cmap, 0, 2).key == char_path(cmap, 1, 2).key
 
     def test_flight_fixture_counts(self, flight_tree):
-        graph = build_syntax_graph(flight_tree)
-        cmap = expand_to_characters(graph, align_characters(flight_tree))
+        cmap = expand_to_characters(flight_tree)
         assert len(cmap.word_of_char) == 37
         assert cmap.table.word_pair.shape == (8, 8)
         assert np.all(cmap.table.word_pair >= 0)
         assert cmap.pair_index().shape == (37, 37)
 
-    def test_mismatched_alignment_rejected(self, flight_tree):
-        graph = build_syntax_graph(flight_tree)
-        other = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
-        with pytest.raises(ValueError):
-            expand_to_characters(graph, align_characters(other))
+    def test_empty_word_form_rejected(self):
+        """A word with no characters would be a graph node that no
+        character reads."""
+        tree = DependencyTree(("ab", ""), (Edge(1, 2, "dep"),), 1)
+        with pytest.raises(ValueError, match="word 2 has an empty form"):
+            expand_to_characters(tree)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
     def test_chars_of_one_word_have_identical_paths(self, seed):
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, int(rng.integers(2, 8)))
-        cmap = expand_to_characters(
-            build_syntax_graph(tree), align_characters(tree)
-        )
+        cmap = expand_to_characters(tree)
         target = int(rng.integers(0, len(cmap.word_of_char)))
         by_word = {}
         for pos, word in enumerate(cmap.word_of_char):
@@ -194,15 +192,13 @@ class TestCharacterExpansion:
 class TestDistinctPaths:
     def test_all_self_map_dedupes_to_one(self):
         tree = DependencyTree(("abc",), (), 1)
-        cmap = expand_to_characters(build_syntax_graph(tree), align_characters(tree))
+        cmap = expand_to_characters(tree)
         unique, table = distinct_paths(cmap)
         assert len(unique) == 1
         assert np.array_equal(table, np.zeros((3, 3), dtype=np.int64))
 
     def test_two_word_sentence_has_three(self):
-        cmap = expand_to_characters(
-            build_syntax_graph(TWO_WORD), align_characters(TWO_WORD)
-        )
+        cmap = expand_to_characters(TWO_WORD)
         unique, _ = distinct_paths(cmap)
         assert len(unique) == 3
         assert {tuple(p.key) for p in unique} == {
@@ -210,9 +206,7 @@ class TestDistinctPaths:
         }
 
     def test_table_reconstruction_is_exact(self, flight_tree):
-        cmap = expand_to_characters(
-            build_syntax_graph(flight_tree), align_characters(flight_tree)
-        )
+        cmap = expand_to_characters(flight_tree)
         unique, table = distinct_paths(cmap)
         # Independent enumeration of distinct label sequences over word pairs.
         def oracle(i, j):
