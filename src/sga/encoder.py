@@ -10,8 +10,9 @@ the pair's path. The score expands into four addressing terms -- pure
 content, a forward relation bias, a backward relation bias, and a
 relation-only term -- stated per pair by `syntax_score_terms`. Each block's
 attention sublayer is one autodiff op with a hand-written backward pass
-(`_multi_head_attention`): it computes the four terms for every head and
-pair at once, then the scaled softmax, the value product and the output
+(`_multi_head_attention`): it computes the four terms for every pair, the
+content term for all heads at once and the relation terms one head at a
+time, then the scaled softmax, the value product and the output
 projection. It folds each half of W_r into its projection, Wq W_r,top and
 Wk W_r,bottom, so a relation encoding maps straight to a d_head-wide query
 and key, once per distinct path, gathered per pair. The per-pair functions
@@ -228,10 +229,11 @@ def syntax_score_terms(
 
 
 def _check_relations(relations: RelationTensor, n: int) -> None:
-    covered = relations.pair_index.shape[0]
-    if covered != n:
+    table = relations.pair_index
+    if table.shape != (n, n) or table.dtype.kind != "i":
         raise CoverageError(
-            f"relation tensor covers {covered} characters, sequence has {n}"
+            f"relation table is {table.dtype} of shape {table.shape}, "
+            f"expected integers of shape ({n}, {n})"
         )
     if not relations.is_complete:
         raise CoverageError("relation tensor is missing entries for some pairs")
@@ -251,12 +253,15 @@ def _multi_head_attention(
     `syntax_score_terms`. W_r's forward half is folded into Wq and its
     backward half into Wk, so the encodings project straight to (paths,
     d_head) relation queries and keys. The two relation bias terms are
-    (heads, n, paths) products, read per pair through one flat index,
+    (n, paths) products, made one head and one term at a time so that one
+    is alive at once, and read per pair through one flat index,
     row * paths + path (Shaw et al. 2018, section 3.3). The backward pass
-    scatters into them with `np.bincount`; it keeps the weights P, the
-    queries, keys and values, the relation queries and keys and the folded
-    maps, but not the products. relations=None computes the content term
-    alone, with the same code; zero encodings add exact zeros to it.
+    runs the heads in turn too: one `np.bincount` per term scatters the
+    score gradient into that term's (n, paths) product and one into the
+    relation-only term. It keeps the weights P, the queries, keys and
+    values, the relation queries and keys and the folded maps, but not the
+    products. relations=None computes the content term alone, with the
+    same code; zero encodings add exact zeros to it.
     """
     heads = block.heads
     with_relations = relations is not None
@@ -280,17 +285,18 @@ def _multi_head_attention(
         w_r = np.stack([h.w_r.data for h in heads])  # (H, 2 d_model, 2 d_h)
         top, bottom = w_r[:, :d_model], w_r[:, d_model:]
         maps = np.stack([w_q @ top, w_k @ bottom])  # (2, H, d_head, 2 d_h)
-        rel_q, rel_k = E @ maps.transpose(0, 1, 3, 2)  # (H, U, d_head) each
+        map_rows = maps.reshape(2 * H * d_head, -1)
+        # Rows of rel are paths: (U, 2, H, d_head) relation queries and keys,
+        # so the projection and its two gradient products are single gemms.
+        rel = (E @ map_rows.T).reshape(U, 2, H, d_head)
         # Pair (i, j) reads entry (i, u_ij) of Q RK^T and entry (j, u_ij) of
-        # K RQ^T, each through a flat index into its (n, U) rows.
+        # K RQ^T: term t reads qkv[t] against rel[:, 1 - t] through index[t].
         rows = np.arange(n) * U
-        fwd_index = rows[:, None] + u
-        bwd_index = rows + u
-        fwd = Q @ rel_k.transpose(0, 2, 1)  # (H, n, U)
-        bwd = K @ rel_q.transpose(0, 2, 1)
-        S += np.take(fwd.reshape(H, -1), fwd_index, axis=1)
-        S += np.take(bwd.reshape(H, -1), bwd_index, axis=1)
-        S += np.take((rel_q * rel_k).sum(axis=-1), u, axis=1)
+        index = (rows[:, None] + u, rows + u)
+        for h in range(H):
+            for t in (0, 1):
+                S[h] += (qkv[t, h] @ rel[:, 1 - t, h].T).take(index[t])
+        S += np.einsum("uhd,uhd->hu", rel[:, 0], rel[:, 1]).take(u, axis=1)
     scale = math.sqrt(d_head)
     P = softmax(S, scale)
     heads_out = (P @ V).transpose(1, 0, 2).reshape(n, d_model)
@@ -310,29 +316,22 @@ def _multi_head_attention(
         d_qkv[1] = d_s.transpose(0, 2, 1) @ Q
         d_qkv[2] = P.transpose(0, 2, 1) @ d_out
         if with_relations:
-            # One scatter into the cells of both (H, n, U) products and the
-            # (H, U) relation-only term, in that order.
-            heads_at = np.arange(H)[:, None, None]
-            cells = np.concatenate([
-                (heads_at * (n * U) + fwd_index).ravel(),
-                (heads_at * (n * U) + bwd_index + H * n * U).ravel(),
-                (heads_at * U + u + 2 * H * n * U).ravel(),
-            ])
-            d_cells = np.bincount(
-                cells, np.tile(d_s.ravel(), 3), (2 * n + 1) * H * U
-            )
-            d_fwd, d_bwd = d_cells[: 2 * H * n * U].reshape(2, H, n, U)
-            d_pair = d_cells[2 * H * n * U :].reshape(H, U, 1)
-            d_qkv[0] += d_fwd @ rel_k
-            d_qkv[1] += d_bwd @ rel_q
-            d_rel = np.stack([
-                d_bwd.transpose(0, 2, 1) @ K + d_pair * rel_k,
-                d_fwd.transpose(0, 2, 1) @ Q + d_pair * rel_q,
-            ])  # (2, H, U, d_head): relation queries, relation keys
-            d_e = d_rel.transpose(2, 0, 1, 3).reshape(U, -1) @ maps.reshape(
-                -1, maps.shape[-1]
-            )
-            d_maps = d_rel.transpose(0, 1, 3, 2) @ E
+            # Per head, one scatter into the relation-only term and one per
+            # bias term into its (n, U) product, freed before the next.
+            flat = [i.ravel() for i in (*index, u)]
+            d_flat = d_s.reshape(H, -1)
+            d_rel = np.empty_like(rel)
+            for h in range(H):
+                d_pair = np.bincount(flat[2], d_flat[h], U)[:, None]
+                for t in (0, 1):
+                    d_term = np.bincount(flat[t], d_flat[h], n * U).reshape(n, U)
+                    d_qkv[t, h] += d_term @ rel[:, 1 - t, h]
+                    d_rel[:, 1 - t, h] = d_term.T @ qkv[t, h]
+                    del d_term
+                    d_rel[:, 1 - t, h] += d_pair * rel[:, t, h]
+            d_rel = d_rel.reshape(U, -1)
+            d_e = d_rel @ map_rows
+            d_maps = (d_rel.T @ E).reshape(maps.shape)
             d_w_r = np.concatenate(
                 [w_q.transpose(0, 2, 1) @ d_maps[0], w_k.transpose(0, 2, 1) @ d_maps[1]],
                 axis=1,

@@ -28,7 +28,7 @@ from sga.encoder import (
 )
 from sga.errors import CoverageError, ShapeError, VocabError
 from sga.pipeline import Model
-from sga.verify import random_sentence_tree
+from sga.verify import random_sentence_tree, random_tree
 
 from composed_ops import composed_block_tail
 
@@ -266,6 +266,22 @@ class TestGraphAttentionLayer:
             graph_attention_layer(
                 Tensor(np.zeros((sentence.n_chars + 1, 8))), rel, model.stack.blocks[0]
             )
+
+    @pytest.mark.parametrize(
+        "malform",
+        [lambda t: t[:, :-1], lambda t: t[:-1], lambda t: t.astype(np.float64)],
+        ids=["one-column-short", "one-row-short", "float"],
+    )
+    def test_malformed_table_is_coverage_error(self, malform):
+        """A table that is not (n, n) integers is rejected before numpy
+        broadcasts or indexes with it."""
+        model = toy_model()
+        sentence = model.prepare(CHAIN)
+        rel = model.encode_relations(sentence)
+        rel = dataclasses.replace(rel, pair_index=malform(rel.pair_index))
+        x = Tensor(np.zeros((sentence.n_chars, 8)))
+        with pytest.raises(CoverageError, match=r"shape \(4, 4\)"):
+            graph_attention_layer(x, rel, model.stack.blocks[0])
 
 
 def plain_transformer_forward(model, sentence):
@@ -527,3 +543,51 @@ class TestTapeFreeInference:
         finally:
             tracemalloc.stop()
         assert held <= out.data.nbytes + 16 * 1024
+
+
+class TestAttentionTransientMemory:
+    """One attention op over a 30-word tree of one-letter words at toy dims:
+    n = 30 characters, U = 681 distinct paths, 2 heads of d_head = 8. Its
+    relation bias terms are (n, U) products, 163 KB each here, against
+    14 KB for an (n, n) score grid, so the op's transient peak shows how
+    many of them are alive at once."""
+
+    SLACK = 128 * 1024  # scores, weights, index tables, a (U, d_head) temporary
+
+    @pytest.fixture
+    def op(self):
+        base = random_tree(np.random.default_rng(21), 30)
+        forms = tuple("abcdefghij"[i % 10] for i in range(30))
+        tree = dataclasses.replace(base, forms=forms)
+        model = Model.create(PipelineConfig.toy(seed=0), [tree])
+        sentence = model.prepare(tree)
+        rel = model.encode_relations(sentence)
+        x = Tensor(np.random.default_rng(1).standard_normal((sentence.n_chars, 16)))
+        block = model.stack.blocks[0]
+        _multi_head_attention(x, rel, block)  # first-call allocations are not its
+        n, U = sentence.n_chars, rel.encodings.data.shape[0]
+        assert (n, U) == (30, 681)
+        # One (n, U) product or gradient, plus the (U, 2, H, d_head) relation
+        # queries and keys or their gradient; a second product exceeds SLACK.
+        bound = 8 * (n * U + 2 * 2 * U * 8) + self.SLACK
+        assert self.SLACK < 8 * n * U
+        return x, rel, block, bound
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_holds_one_product_at_a_time(self, op):
+        x, rel, block, bound = op
+        assert self.traced_peak(lambda: _multi_head_attention(x, rel, block)) <= bound
+
+    def test_backward_holds_one_product_gradient_at_a_time(self, op):
+        x, rel, block, bound = op
+        with recording():
+            loss = sum_all(_multi_head_attention(x, rel, block))
+            assert self.traced_peak(lambda: backward(loss)) <= bound
