@@ -15,9 +15,13 @@ content term for all heads at once and the relation terms one head at a
 time, then the scaled softmax, the value product and the output
 projection. It folds each half of W_r into its projection, Wq W_r,top and
 Wk W_r,bottom, so a relation encoding maps straight to a d_head-wide query
-and key, once per distinct path, gathered per pair. The per-pair functions
-below (`baseline_score`, `syntax_score`, `syntax_score_terms`) state the
-same scores unfolded, one pair at a time; they are the layer's oracles in
+and key, once per distinct path, gathered per pair. A block stores every
+head's query, key and value maps as one (3, heads, d_head, d_model)
+parameter and every head's W_r as one (heads, 2 d_model, 2 d_h) parameter,
+the layout the op reads, so a call copies no weights. The per-pair
+functions below (`baseline_score`, `syntax_score`, `syntax_score_terms`)
+state the same scores unfolded, one pair at a time, on one head's copied
+slices (`EncoderBlockParams.heads`); they are the layer's oracles in
 `verify` and the tests. With zero relation encodings the score reduces
 exactly to the plain dot-product attention, and the whole encoder reduces to
 a plain transformer encoder; `encoder_forward` with relations=None runs that
@@ -48,21 +52,14 @@ LAYER_NORM_EPS = 1e-6
 
 @dataclass
 class AttentionHeadParams:
-    """Query/key/value projections plus this head's relation split matrix."""
+    """One head's query/key/value projections and relation split matrix, for
+    the per-pair oracles. `EncoderBlockParams.heads` builds them as copies
+    of slices of the block's stacked weights."""
 
     w_q: Parameter  # (d_head, d_model)
     w_k: Parameter  # (d_head, d_model)
     w_v: Parameter  # (d_head, d_model)
     w_r: Parameter  # (2 * d_model, 2 * d_h)
-
-    @classmethod
-    def create(cls, prefix, d_model, d_head, d_h, rng) -> "AttentionHeadParams":
-        return cls(
-            w_q=Parameter(f"{prefix}.w_q", glorot_uniform(rng, d_head, d_model)),
-            w_k=Parameter(f"{prefix}.w_k", glorot_uniform(rng, d_head, d_model)),
-            w_v=Parameter(f"{prefix}.w_v", glorot_uniform(rng, d_head, d_model)),
-            w_r=Parameter(f"{prefix}.w_r", glorot_uniform(rng, 2 * d_model, 2 * d_h)),
-        )
 
     @property
     def d_head(self) -> int:
@@ -72,13 +69,11 @@ class AttentionHeadParams:
     def d_model(self) -> int:
         return self.w_q.data.shape[1]
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w_q, self.w_k, self.w_v, self.w_r]
-
 
 @dataclass
 class EncoderBlockParams:
-    heads: tuple[AttentionHeadParams, ...]
+    w_qkv: Parameter  # (3, heads, d_head, d_model): query, key, value maps
+    w_r: Parameter  # (heads, 2 * d_model, 2 * d_h)
     w_o: Parameter  # (d_model, d_model)
     ffn_w1: Parameter  # (d_ff, d_model)
     ffn_b1: Parameter
@@ -94,12 +89,15 @@ class EncoderBlockParams:
         if d_model % num_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by {num_heads} heads")
         d_head = d_model // num_heads
-        heads = tuple(
-            AttentionHeadParams.create(f"{prefix}.head{h}", d_model, d_head, d_h, rng)
-            for h in range(num_heads)
-        )
+        # Per head w_q, w_k, w_v, w_r, each drawn with its own fans.
+        heads = [
+            [glorot_uniform(rng, d_head, d_model) for _ in range(3)]
+            + [glorot_uniform(rng, 2 * d_model, 2 * d_h)]
+            for _ in range(num_heads)
+        ]
         return cls(
-            heads=heads,
+            w_qkv=Parameter(f"{prefix}.w_qkv", np.stack([np.stack(h[:3]) for h in heads], 1)),
+            w_r=Parameter(f"{prefix}.w_r", np.stack([h[3] for h in heads])),
             w_o=Parameter(f"{prefix}.w_o", glorot_uniform(rng, d_model, d_model)),
             ffn_w1=Parameter(f"{prefix}.ffn_w1", glorot_uniform(rng, d_ff, d_model)),
             ffn_b1=Parameter(f"{prefix}.ffn_b1", np.zeros(d_ff)),
@@ -111,15 +109,25 @@ class EncoderBlockParams:
             norm2_bias=Parameter(f"{prefix}.norm2_bias", np.zeros(d_model)),
         )
 
+    @property
+    def heads(self) -> tuple[AttentionHeadParams, ...]:
+        """Each head's slices for the oracles, copied on each read, never
+        cached: Adam rebinds p.data."""
+        prefix = self.w_qkv.name.rpartition(".")[0]
+        arrays = (*self.w_qkv.data, self.w_r.data)
+        return tuple(
+            AttentionHeadParams(*(
+                Parameter(f"{prefix}.head{h}.{name}", a[h])
+                for name, a in zip(("w_q", "w_k", "w_v", "w_r"), arrays)
+            ))
+            for h in range(self.w_r.data.shape[0])
+        )
+
     def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for head in self.heads:
-            out.extend(head.parameters())
-        out.extend([
-            self.w_o, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
-            self.norm1_gain, self.norm1_bias, self.norm2_gain, self.norm2_bias,
-        ])
-        return out
+        return [
+            self.w_qkv, self.w_r, self.w_o, self.ffn_w1, self.ffn_b1, self.ffn_w2,
+            self.ffn_b2, self.norm1_gain, self.norm1_bias, self.norm2_gain, self.norm2_bias,
+        ]
 
 
 @dataclass
@@ -247,7 +255,8 @@ def _multi_head_attention(
     collect: Optional[list[AttentionMap]] = None,
 ) -> Tensor:
     """One attention sublayer, every head at once, as one autodiff op on x,
-    the relation encodings, each head's w_q, w_k, w_v and w_r, and w_o.
+    the relation encodings, the block's stacked w_qkv and w_r, and w_o,
+    each read as it is stored.
 
     The score of each head is the sum of the four addressing terms of
     `syntax_score_terms`. W_r's forward half is folded into Wq and its
@@ -263,17 +272,15 @@ def _multi_head_attention(
     products. relations=None computes the content term alone, with the
     same code; zero encodings add exact zeros to it.
     """
-    heads = block.heads
     with_relations = relations is not None
-    H, d_head = len(heads), heads[0].d_head
-    X, w_o = x.data, block.w_o.data
-    n, d_model = X.shape
+    w_qkv, w_r, w_o = block.w_qkv.data, block.w_r.data, block.w_o.data
+    _, H, d_head, d_model = w_qkv.shape
     # Rows [q heads, k heads, v heads], so one gemm projects all three.
-    w_qkv = np.concatenate(
-        [getattr(h, name).data for name in ("w_q", "w_k", "w_v") for h in heads]
-    )
+    w_rows = w_qkv.reshape(-1, d_model)
+    X = x.data
+    n = X.shape[0]
     qkv = np.ascontiguousarray(
-        (X @ w_qkv.T).reshape(n, 3, H, d_head).transpose(1, 2, 0, 3)
+        (X @ w_rows.T).reshape(n, 3, H, d_head).transpose(1, 2, 0, 3)
     )
     Q, K, V = qkv  # (H, n, d_head) each
     S = Q @ K.transpose(0, 2, 1)  # content term, (H, n, n)
@@ -281,8 +288,7 @@ def _multi_head_attention(
         E = relations.encodings.data
         U = E.shape[0]
         u = relations.pair_index
-        w_q, w_k = w_qkv.reshape(3, H, d_head, d_model)[:2]
-        w_r = np.stack([h.w_r.data for h in heads])  # (H, 2 d_model, 2 d_h)
+        w_q, w_k = w_qkv[:2]
         top, bottom = w_r[:, :d_model], w_r[:, d_model:]
         maps = np.stack([w_q @ top, w_k @ bottom])  # (2, H, d_head, 2 d_h)
         map_rows = maps.reshape(2 * H * d_head, -1)
@@ -337,26 +343,19 @@ def _multi_head_attention(
                 axis=1,
             )
         d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, -1)
-        d_w = (d_proj.T @ X).reshape(3, H, d_head, d_model)
-        grads = [d_proj @ w_qkv]
-        if with_relations:
-            d_w[0] += d_maps[0] @ top.transpose(0, 2, 1)
-            d_w[1] += d_maps[1] @ bottom.transpose(0, 2, 1)
-            grads.append(d_e)
-        for h in range(H):
-            grads.extend(d_w[:, h])
-            if with_relations:
-                grads.append(d_w_r[h])
-        grads.append(g.T @ heads_out)
-        return tuple(grads)
+        d_w = (d_proj.T @ X).reshape(w_qkv.shape)
+        d_x, d_w_o = d_proj @ w_rows, g.T @ heads_out
+        if not with_relations:
+            return d_x, d_w, d_w_o
+        d_w[0] += d_maps[0] @ top.transpose(0, 2, 1)
+        d_w[1] += d_maps[1] @ bottom.transpose(0, 2, 1)
+        return d_x, d_e, d_w, d_w_r, d_w_o
 
-    parents = [x]
     if with_relations:
-        parents.append(relations.encodings)
-    for head in heads:
-        parents.extend(head.parameters() if with_relations else head.parameters()[:3])
-    parents.append(block.w_o)
-    return Tensor._result(heads_out @ w_o.T, tuple(parents), vjp)
+        parents = (x, relations.encodings, block.w_qkv, block.w_r, block.w_o)
+    else:
+        parents = (x, block.w_qkv, block.w_o)
+    return Tensor._result(heads_out @ w_o.T, parents, vjp)
 
 
 def _normalize(a: np.ndarray, gain: np.ndarray, bias: np.ndarray):

@@ -1,7 +1,8 @@
 """The GRU cell of the relation-path encoder, composed from autodiff ops.
 
-The relation encoder runs the same arithmetic fused into one op for both
-directions (`relation.encode_paths`); this composed cell is its independent
+The relation encoder stores both directions' weights stacked and runs the
+same arithmetic fused into one op (`relation.encode_paths`); this composed
+cell, over one direction's slices of those weights, is its independent
 oracle, stepped one path at a time by `verify.lone_path_encoding`.
 
 Gate convention: update gate z and reset gate r are sigmoid units, the
@@ -17,55 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .autodiff import (
-    Parameter, Tensor, add, glorot_uniform, lift, matmul_rows, mul, sigmoid, sub, tanh,
-)
+from .autodiff import Parameter, Tensor, add, lift, matmul_rows, mul, sigmoid, sub, tanh
 from .errors import ShapeError
 
 
 @dataclass
 class GruCellParams:
-    """Gate weights for one GRU cell (input x, recurrent u, bias b)."""
+    """Gate weights for one GRU cell (input x, recurrent u, bias b): one
+    direction's slices of the relation encoder's stacked weights
+    (`RelationEncoderParams.gru_fwd` and `gru_bwd`), copied on each read."""
 
-    input_size: int
-    hidden_size: int
-    w_z: Parameter
-    u_z: Parameter
-    b_z: Parameter
+    w_z: Parameter  # (hidden, input)
+    u_z: Parameter  # (hidden, hidden)
+    b_z: Parameter  # (hidden,)
     w_r: Parameter
     u_r: Parameter
     b_r: Parameter
     w_h: Parameter
     u_h: Parameter
     b_h: Parameter
-
-    @classmethod
-    def create(cls, prefix: str, input_size: int, hidden_size: int,
-               rng: np.random.Generator) -> "GruCellParams":
-        if input_size <= 0 or hidden_size <= 0:
-            raise ValueError("GRU sizes must be positive")
-
-        def mat(name, rows, cols):
-            return Parameter(f"{prefix}.{name}", glorot_uniform(rng, rows, cols))
-
-        def vec(name):
-            return Parameter(f"{prefix}.{name}", np.zeros(hidden_size))
-
-        return cls(
-            input_size=input_size,
-            hidden_size=hidden_size,
-            w_z=mat("w_z", hidden_size, input_size),
-            u_z=mat("u_z", hidden_size, hidden_size),
-            b_z=vec("b_z"),
-            w_r=mat("w_r", hidden_size, input_size),
-            u_r=mat("u_r", hidden_size, hidden_size),
-            b_r=vec("b_r"),
-            w_h=mat("w_h", hidden_size, input_size),
-            u_h=mat("u_h", hidden_size, hidden_size),
-            b_h=vec("b_h"),
-        )
 
     def parameters(self) -> list[Parameter]:
         return [self.w_z, self.u_z, self.b_z,
@@ -80,10 +51,11 @@ def gru_cell_forward(params: GruCellParams, h_prev, x) -> Tensor:
     whatever batch it is stepped in. Differentiable through all nine weights.
     """
     h_prev, x = lift(h_prev), lift(x)
+    hidden, inputs = params.w_z.shape
     rows = x.shape[0] if x.data.ndim == 2 else -1
-    if x.shape != (rows, params.input_size) or h_prev.shape != (rows, params.hidden_size):
+    if x.shape != (rows, inputs) or h_prev.shape != (rows, hidden):
         raise ShapeError(f"GRU input {x.shape} and state {h_prev.shape} do not fit "
-                         f"(B, {params.input_size}) and (B, {params.hidden_size})")
+                         f"(B, {inputs}) and (B, {hidden})")
 
     def gate(w, u, h, b):
         return add(add(matmul_rows(x, w), matmul_rows(h, u)), b)

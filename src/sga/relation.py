@@ -14,13 +14,15 @@ the backward state of its suffix. Both directions therefore step every
 distinct path once, together, in one `gru_level` call per path length --
 a slice, since path ids run by length -- and the whole stage records one
 autodiff op (`encode_paths`) whose backward pass is written by hand and
-walks the levels once in reverse. The two
-cells' weights are stacked on a leading direction axis, and the z and r
-gates share one recurrent product and one `logistic` call. The input
-projections are hoisted out of the recurrence: the label table goes through
-the stacked input weights once, and each step gathers its rows. The path
-table carries label ids, so the vocabulary looks up each distinct label of
-a sentence once.
+walks the levels once in reverse. The two cells' weights are stored
+stacked on a leading direction axis, in the layout the op reads, so a call
+copies no weights and its backward pass returns one gradient per stored
+array; `gru_fwd` and `gru_bwd` slice one cell back out for the oracles. The
+z and r gates share one recurrent product and one `logistic` call. The
+input projections are hoisted out of the recurrence: the label table goes
+through the stacked input weights once, and each step gathers its rows.
+The path table carries label ids, so the vocabulary looks up each distinct
+label of a sentence once.
 
 Batch invariance: a row's bits must not depend on the other paths in its
 call (the dedup check compares each row with a lone-path encoding that
@@ -94,13 +96,18 @@ class LabelVocab:
 
 @dataclass
 class RelationEncoderParams:
-    """Edge-label embeddings plus the two path GRUs."""
+    """Edge-label embeddings plus both path GRUs' weights, stacked on a
+    leading direction axis (forward, backward) in the layout `encode_paths`
+    reads: the input maps (w_z; w_r; w_h) in `w`, the z and r gates'
+    recurrent maps and biases in `u_zr` and `b_zr`, the candidate's in `u_h`
+    and `b_h`."""
 
-    d_e: int
-    d_h: int
-    edge_embedding: Parameter
-    gru_fwd: GruCellParams
-    gru_bwd: GruCellParams
+    edge_embedding: Parameter  # (labels, d_e)
+    w: Parameter  # (2, 3 d_h, d_e)
+    u_zr: Parameter  # (2, 2 d_h, d_h)
+    b_zr: Parameter  # (2, 2 d_h)
+    u_h: Parameter  # (2, d_h, d_h)
+    b_h: Parameter  # (2, d_h)
 
     @classmethod
     def create(
@@ -110,18 +117,39 @@ class RelationEncoderParams:
         d_h: int,
         rng: np.random.Generator,
     ) -> "RelationEncoderParams":
+        embedding = glorot_uniform(rng, vocab_size, d_e)
+        # Per cell, forward first: w_z, u_z, w_r, u_r, w_h, u_h, each drawn
+        # with its own fans.
+        cells = [[glorot_uniform(rng, d_h, n) for _ in range(3) for n in (d_e, d_h)]
+                 for _ in range(2)]
+        u = np.stack([np.concatenate(c[1::2]) for c in cells])
         return cls(
-            d_e=d_e,
-            d_h=d_h,
-            edge_embedding=Parameter(
-                "rel.edge_embedding", glorot_uniform(rng, vocab_size, d_e)
-            ),
-            gru_fwd=GruCellParams.create("rel.gru_fwd", d_e, d_h, rng),
-            gru_bwd=GruCellParams.create("rel.gru_bwd", d_e, d_h, rng),
+            edge_embedding=Parameter("rel.edge_embedding", embedding),
+            w=Parameter("rel.w", np.stack([np.concatenate(c[0::2]) for c in cells])),
+            u_zr=Parameter("rel.u_zr", u[:, : 2 * d_h]),
+            b_zr=Parameter("rel.b_zr", np.zeros((2, 2 * d_h))),
+            u_h=Parameter("rel.u_h", u[:, 2 * d_h :]),
+            b_h=Parameter("rel.b_h", np.zeros((2, d_h))),
         )
 
     def parameters(self) -> list[Parameter]:
-        return [self.edge_embedding] + self.gru_fwd.parameters() + self.gru_bwd.parameters()
+        return [self.edge_embedding, self.w, self.u_zr, self.b_zr, self.u_h, self.b_h]
+
+    # Each direction's slices as a GRU cell for the oracles, copied on each
+    # read, never cached: Adam rebinds p.data.
+    gru_fwd = property(lambda self: self._cell(0))
+    gru_bwd = property(lambda self: self._cell(1))
+
+    def _cell(self, side: int) -> GruCellParams:
+        d = self.u_h.data.shape[-1]
+        w, u_zr, b_zr = (p.data[side] for p in (self.w, self.u_zr, self.b_zr))
+        gates = dict(
+            w_z=w[:d], u_z=u_zr[:d], b_z=b_zr[:d],
+            w_r=w[d : 2 * d], u_r=u_zr[d:], b_r=b_zr[d:],
+            w_h=w[2 * d :], u_h=self.u_h.data[side], b_h=self.b_h.data[side],
+        )
+        prefix = ("rel.gru_fwd", "rel.gru_bwd")[side]
+        return GruCellParams(**{k: Parameter(f"{prefix}.{k}", v) for k, v in gates.items()})
 
 
 def gru_level(weights, h, x):
@@ -145,7 +173,7 @@ def encode_paths(
 ) -> Tensor:
     """Relation encodings of a sentence's distinct paths, one row per path
     id: (len(paths), 2 * d_h), as one autodiff op on the label table and
-    the 18 cell weights.
+    the five stacked cell weights, which it reads as they are stored.
 
     Row u is concat(final forward state, final backward state) of path u,
     both GRUs starting from zero states. The forward GRU steps u from its
@@ -156,7 +184,9 @@ def encode_paths(
     state that parent -1 reads. The cell's products are batch-invariant, so
     every row has the same bits as the path stepped alone.
     """
-    d, table = params.d_h, params.edge_embedding.data
+    table, w = params.edge_embedding.data, params.w.data
+    u_zr, u_h = params.u_zr.data, params.u_h.data
+    d = u_h.shape[-1]
     ids = np.array([vocab.index_of(label) for label in paths.alphabet], dtype=np.int64)
     ends = np.cumsum(np.bincount(paths.length)[1:])
     levels = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
@@ -165,14 +195,7 @@ def encode_paths(
     side = np.arange(2)[:, None]
     parent = np.stack([paths.prefix, paths.suffix])
     labels = ids[np.stack([paths.last, paths.first])]
-    cells = (params.gru_fwd, params.gru_bwd)
-
-    def stacked(*names):  # (2, len(names) * d_h, in), gates along the output axis
-        parts = [getattr(c, n).data for c in cells for n in names]
-        return np.concatenate(parts).reshape(2, len(names) * d, -1)
-
-    w, u_zr, u_h = stacked("w_z", "w_r", "w_h"), stacked("u_z", "u_r"), stacked("u_h")
-    weights = (u_zr, stacked("b_z", "b_r").swapaxes(1, 2), u_h, stacked("b_h").swapaxes(1, 2))
+    weights = (u_zr, params.b_zr.data[:, None], u_h, params.b_h.data[:, None])
     x = row_products(table, w)
     states = np.zeros((2, len(paths) + 1, d))
     saved, keep = [], _TAPE.get() is not None  # a level's arrays outlive it only for backward
@@ -202,16 +225,15 @@ def encode_paths(
             kept.append((h, rh))
         d_all = np.concatenate(d_gates, axis=1)  # (2, U, 3 d_h), paths in reverse level order
         h, rh = (np.concatenate(a, axis=1) for a in zip(*kept))
-        d_u = np.concatenate([
-            d_all[..., : 2 * d].swapaxes(1, 2) @ h, d_all[..., 2 * d :].swapaxes(1, 2) @ rh
-        ], axis=1)
-        d_w, d_b = d_x.swapaxes(1, 2) @ table, d_all.sum(axis=1)
-        grads = [a[s, k * d : (k + 1) * d] for s in (0, 1) for k in range(3) for a in (d_w, d_u, d_b)]
-        return ((d_x @ w).sum(axis=0), *grads)
+        d_b = d_all.sum(axis=1)
+        return (
+            (d_x @ w).sum(axis=0), d_x.swapaxes(1, 2) @ table,
+            d_all[..., : 2 * d].swapaxes(1, 2) @ h, d_b[:, : 2 * d],
+            d_all[..., 2 * d :].swapaxes(1, 2) @ rh, d_b[:, 2 * d :],
+        )
 
-    parents = [params.edge_embedding] + [p for c in cells for p in c.parameters()]
     encodings = states[:, :-1].swapaxes(0, 1).reshape(len(paths), 2 * d)
-    return Tensor._result(encodings, tuple(parents), vjp)
+    return Tensor._result(encodings, tuple(params.parameters()), vjp)
 
 
 @dataclass

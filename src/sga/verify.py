@@ -28,7 +28,7 @@ from .encoder import (
 from .gradcheck import check_gradient
 from .gru import gru_cell_forward
 from .pipeline import Model
-from .relation import LabelVocab, RelationEncoderParams
+from .relation import LabelVocab
 from .syntax_graph import SELF, build_syntax_graph, path_table
 from .training import RegressionHead
 
@@ -171,24 +171,24 @@ def tree_distance(tree: DependencyTree, i: int, j: int) -> int:
     return 0 if i == j else len(lca_walk_path(tree, i, j))
 
 
-def lone_path_encoding(
-    labels, params: RelationEncoderParams, vocab: LabelVocab
-) -> Tensor:
+def lone_path_encoding(labels, table: Parameter, cells, vocab: LabelVocab) -> Tensor:
     """(1, 2 * d_h) relation encoding of one label sequence, stepped label by
-    label at batch size 1 through the composed GRU cell. It shares neither
-    the fused level op nor the path table with the relation encoder, so it
-    is the naive side of the dedup check."""
+    label at batch size 1 through the composed GRU cells over the label
+    table. `cells` are a relation encoder's `gru_fwd` and `gru_bwd`, read
+    once by the caller, since each read copies them. It shares neither the
+    fused level op nor the path table with the relation encoder, so it is
+    the naive side of the dedup check."""
     ids = [vocab.index_of(label) for label in labels]
     if not ids:
         raise ValueError("cannot encode an empty path")
 
     def run(cell, seq):
-        state = Tensor(np.zeros((1, params.d_h)))
+        state = Tensor(np.zeros((1, *cell.b_z.shape)))
         for i in seq:
-            state = gru_cell_forward(cell, state, take(params.edge_embedding, [i]))
+            state = gru_cell_forward(cell, state, take(table, [i]))
         return state
 
-    return concat_last([run(params.gru_fwd, ids), run(params.gru_bwd, ids[::-1])])
+    return concat_last([run(cells[0], ids), run(cells[1], ids[::-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +382,12 @@ def suite_dedup(seed: int = 0, sentences: int = 50) -> SuiteResult:
         relations = model.encode_relations(sentence)
         scattered = relations.encodings.data[relations.pair_index]
         words = sentence.char_map.word_of_char
+        rel = model.relation
+        cells = (rel.gru_fwd, rel.gru_bwd)
         for ci in range(sentence.n_chars):
             for cj in range(sentence.n_chars):
                 labels = lca_walk_path(tree, words[ci], words[cj])
-                naive = lone_path_encoding(labels, model.relation, model.label_vocab)
+                naive = lone_path_encoding(labels, rel.edge_embedding, cells, model.label_vocab)
                 pairs_checked += 1
                 if not np.array_equal(naive.data[0], scattered[ci, cj]):
                     mismatches += 1

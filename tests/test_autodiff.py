@@ -394,8 +394,9 @@ class TestCheckGradient:
     def test_composite_ops_match_differences(self, seed):
         """Linear map, row product, GRU step, attention score and transposed
         product all gradcheck <= 1e-5."""
-        from sga.encoder import AttentionHeadParams
-        from sga.gru import GruCellParams, gru_cell_forward
+        from sga.encoder import EncoderBlockParams
+        from sga.gru import gru_cell_forward
+        from sga.relation import RelationEncoderParams
 
         rng = np.random.default_rng(seed)
         w = Parameter("lin.w", rng.standard_normal((3, 4)))
@@ -404,7 +405,7 @@ class TestCheckGradient:
         report = check_gradient(lambda: sum_all(add(matmul_t(x, w), b)), [w, b])
         assert report.max_rel_error <= 1e-5
 
-        gru = GruCellParams.create("gru", 3, 2, rng)
+        gru = RelationEncoderParams.create(1, 3, 2, rng).gru_fwd
         h0 = Tensor(rng.standard_normal((1, 2)))
         xs = Tensor(rng.standard_normal((1, 3)))
         probe = Tensor(rng.standard_normal((1, 2)))
@@ -414,7 +415,7 @@ class TestCheckGradient:
         )
         assert report.max_rel_error <= 1e-5
 
-        head = AttentionHeadParams.create("head", 4, 2, 3, rng)
+        head = EncoderBlockParams.create("blk", 4, 2, 8, 3, rng).heads[0]
         xi = Tensor(rng.standard_normal((1, 4)))
         xj = Tensor(rng.standard_normal((1, 4)))
         score_params = [head.w_q, head.w_k]
@@ -443,7 +444,7 @@ class TestCheckGradient:
     @pytest.mark.parametrize("seed", range(3))
     def test_attention_sublayer_matches_differences(self, seed, with_relations):
         """The fused attention sublayer gradchecks <= 1e-5 for every parent:
-        x, the encodings, each head's four weights and w_o. d_model 12,
+        x, the encodings, the stacked w_qkv and w_r, and w_o. d_model 12,
         2 d_h 10 and d_head 4 all differ, and 36 pairs share 3 paths, so the
         backward scatter sums many pairs into each cell."""
         from sga.encoder import EncoderBlockParams, _multi_head_attention
@@ -461,10 +462,8 @@ class TestCheckGradient:
                 pair_index=rng.integers(0, paths, (n, n)),
                 char_map=None,
             )
-            params.append(relations.encodings)
-        for head in block.heads:
-            params.extend(head.parameters())
-        params.append(block.w_o)
+            params += [relations.encodings, block.w_r]
+        params += [block.w_qkv, block.w_o]
         probe = Tensor(rng.standard_normal((n, 12)))
 
         def loss():

@@ -231,6 +231,34 @@ class TestEncodeCommand:
              "--out-dir", str(out)]
         ) == 0
 
+    def test_per_head_parameter_file_is_rejected(self, tmp_path, capsys):
+        """A parameter set saved with one parameter per head and per GRU
+        gate, as before the weights were stacked, does not load: exit 2
+        with a message that names the file."""
+        from sga.autodiff import Parameter
+        from sga.config import PipelineConfig
+        from sga.serialize import save_parameters
+
+        model = Model.create(PipelineConfig.toy(seed=3), read_conllu(Path(DOGS).read_text()))
+        rel, stack = model.relation, model.stack
+        old = {"rel.edge_embedding": rel.edge_embedding.data,
+               "enc.char_embedding": stack.char_embedding.data}
+        for side, cell in (("fwd", rel.gru_fwd), ("bwd", rel.gru_bwd)):
+            for name in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
+                old[f"rel.gru_{side}.{name}"] = getattr(cell, name).data
+        for b, block in enumerate(stack.blocks):
+            for h, head in enumerate(block.heads):
+                for name in ("w_q", "w_k", "w_v", "w_r"):
+                    old[f"enc.block{b}.head{h}.{name}"] = getattr(head, name).data
+            old.update((p.name, p.data) for p in block.parameters()[2:])
+        params_file = tmp_path / "per_head.sga"
+        save_parameters(params_file, [Parameter(k, v) for k, v in old.items()])
+        code = main(["encode", DOGS, "--params", str(params_file), *TOY,
+                     "--out-dir", str(tmp_path / "enc")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(params_file) in err and "'enc.block0.head0.w_q'" in err
+
     @pytest.mark.parametrize(
         "token_id, head, deprel",
         [("2", "--0", "dep"), ("2", "\u00b2", "dep"), ("\u00b9", "1", "dep"), ("2", "1", "self")],

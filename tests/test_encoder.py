@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from sga.autodiff import (
-    Parameter, Tensor, backward, lift, mul, recording, softmax, sum_all, zero_gradients,
+    Parameter, Tensor, backward, glorot_uniform, lift, mul, recording, softmax, sum_all,
+    zero_gradients,
 )
 from sga.config import PipelineConfig
 from sga.conllu import DependencyTree, Edge, read_conllu
@@ -30,7 +31,7 @@ from sga.errors import CoverageError, ShapeError, VocabError
 from sga.pipeline import Model
 from sga.verify import random_sentence_tree, random_tree
 
-from composed_ops import composed_block_tail
+from composed_ops import composed_block_tail, recorded_ops
 
 def graph_attention_layer(x, relations, block):
     """One multi-head attention sublayer as the encoder blocks run it (no
@@ -348,9 +349,8 @@ class TestEncoderForward:
         """All-zero GRU weights pin every path encoding at the zero fixed
         point, so the full relation machinery contributes exactly nothing."""
         model = toy_model(seed=23)
-        for cell in (model.relation.gru_fwd, model.relation.gru_bwd):
-            for p in cell.parameters():
-                p.assign(np.zeros_like(p.data))
+        for p in model.relation.parameters()[1:]:
+            p.assign(np.zeros_like(p.data))
         sentence = model.prepare(CHAIN)
         rel = model.encode_relations(sentence)
         assert np.all(rel.encodings.data == 0.0)
@@ -400,7 +400,8 @@ class TestEncoderForward:
         (n, n, d) bias grid is ever recorded, with relations or without. W_r
         is folded into the query/key maps, so nothing with one row per
         distinct path is wider than the (paths, 2 d_h) encodings: with
-        d_model 12 > 2 d_h 6, a (paths, d_model) projection would show."""
+        d_model 12 > 2 d_h 6, a (paths, d_model) projection would show.
+        Only the stacked weights, parameters, have more than two dims."""
         model = toy_model(seed=56, trees=(flight_tree,), d_model=12, heads=3, d_h=3)
         sentence = model.prepare(flight_tree)
         paths = model.encode_relations(sentence).encodings.data.shape[0]
@@ -411,7 +412,7 @@ class TestEncoderForward:
             seen, stack = {id(out)}, [out]
             while stack:
                 node = stack.pop()
-                assert node.data.ndim <= 2, node.shape
+                assert node.data.ndim <= 2 or isinstance(node, Parameter), node.shape
                 if node.data.ndim == 2 and node.shape[0] == paths:
                     assert node.shape[1] <= 2 * 3, node.shape
                 for parent in node._parents:
@@ -591,3 +592,92 @@ class TestAttentionTransientMemory:
         with recording():
             loss = sum_all(_multi_head_attention(x, rel, block))
             assert self.traced_peak(lambda: backward(loss)) <= bound
+
+
+def closure_arrays(fn):
+    """Every ndarray an op's VJP closes over, inside tuples and lists too,
+    and every array those are views of."""
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            yield item
+            stack.append(item.base)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+
+
+class TestStackedWeights:
+    """The attention and GRU weights are stored stacked, in the layout the
+    fused ops read, and drawn as they were when each head and gate was its
+    own parameter."""
+
+    DIMS = dict(d_model=12, heads=3, d_e=5, d_h=7, d_ff=10, n_blocks=2)
+
+    def test_initial_values_follow_the_per_head_draw_order(self, flight_tree):
+        """One seed, drawn slice by slice with each slice's own Glorot fans:
+        the label table; the forward cell's w_z, u_z, w_r, u_r, w_h, u_h,
+        then the backward cell's; the character table; per block, each
+        head's w_q, w_k, w_v, w_r, then w_o, ffn_w1, ffn_w2. Biases and
+        norms are constants."""
+        model = toy_model(seed=17, trees=(flight_tree,), **self.DIMS)
+        d_model, d_head, d_e, d_h, d_ff = 12, 4, 5, 7, 10
+        rng = np.random.default_rng(17)
+
+        def draw(rows, cols):
+            return glorot_uniform(rng, rows, cols)
+
+        expected = {"rel.edge_embedding": draw(len(model.label_vocab), d_e)}
+        cells = [[draw(d_h, n) for _ in range(3) for n in (d_e, d_h)] for _ in range(2)]
+        expected["rel.w"] = np.array([np.concatenate(c[0::2]) for c in cells])
+        expected["rel.u_zr"] = np.array([np.concatenate(c[1:4:2]) for c in cells])
+        expected["rel.u_h"] = np.array([c[5] for c in cells])
+        expected["rel.b_zr"], expected["rel.b_h"] = np.zeros((2, 2 * d_h)), np.zeros((2, d_h))
+        expected["enc.char_embedding"] = draw(len(model.char_vocab), d_model)
+        for b in range(2):
+            heads = [[draw(d_head, d_model) for _ in range(3)] + [draw(2 * d_model, 2 * d_h)]
+                     for _ in range(3)]
+            prefix = f"enc.block{b}."
+            expected[prefix + "w_qkv"] = np.array([[h[t] for h in heads] for t in range(3)])
+            expected[prefix + "w_r"] = np.array([h[3] for h in heads])
+            expected[prefix + "w_o"] = draw(d_model, d_model)
+            expected[prefix + "ffn_w1"] = draw(d_ff, d_model)
+            expected[prefix + "ffn_w2"] = draw(d_model, d_ff)
+            for name, size in (("ffn_b1", d_ff), ("ffn_b2", d_model), ("norm1_bias", d_model),
+                               ("norm2_bias", d_model)):
+                expected[prefix + name] = np.zeros(size)
+            for name in ("norm1_gain", "norm2_gain"):
+                expected[prefix + name] = np.ones(d_model)
+        params = model.parameters()
+        assert {p.name for p in params} == set(expected)
+        for p in params:
+            assert np.array_equal(p.data, expected[p.name]), p.name
+
+    def test_tape_holds_no_weight_copies(self, flight_tree):
+        """No array a recorded op keeps for its backward pass, or views, has
+        the layout of a weight the fused ops read unless it is that weight's
+        storage. The folded maps W_q W_r,top and W_k W_r,bottom are
+        products, not copies, and are exempt. No activation here has a
+        weight's shape: n = 37, 57 paths, no level of 7 or 14 paths."""
+        model = toy_model(seed=18, trees=(flight_tree,), **self.DIMS)
+        sentence = model.prepare(flight_tree)
+        d_model, H, d_head, d_e, d_h = 12, 3, 4, 5, 7
+        layouts = {
+            (3, H, d_head, d_model), (3 * H * d_head, d_model), (H, 2 * d_model, 2 * d_h),
+            (2, 3 * d_h, d_e), (2, 2 * d_h, d_h), (2, d_h, d_h),
+        }
+        params = model.parameters()
+        weights = layouts | {p.shape for p in params}
+        folded = {(2, H, d_head, 2 * d_h), (2 * H * d_head, 2 * d_h)}
+        table = sentence.char_map.table
+        assert (sentence.n_chars, len(table)) == (37, 57)
+        assert not {7, 14} & set(np.bincount(table.length))
+        with recording():
+            out = model.forward(sentence)
+        checked = 0
+        for op in recorded_ops(out):
+            for a in closure_arrays(op._vjp):
+                if a.shape in weights and a.shape not in folded:
+                    checked += 1
+                    assert any(np.shares_memory(a, p.data) for p in params), a.shape
+        assert checked > 0

@@ -1,5 +1,6 @@
 """GRU cell on (1, d) rows: frozen examples, the state bound, and gradient
-agreement."""
+agreement. Each cell is the forward cell of a relation encoder, a copy of
+its slices of the stacked weights."""
 
 import math
 
@@ -9,14 +10,19 @@ import pytest
 from sga.autodiff import Tensor, mul, sum_all
 from sga.errors import ShapeError
 from sga.gradcheck import check_gradient
-from sga.gru import GruCellParams, gru_cell_forward
+from sga.gru import gru_cell_forward
+from sga.relation import RelationEncoderParams
+
+
+def make_cell(input_size, hidden_size, rng):
+    return RelationEncoderParams.create(1, input_size, hidden_size, rng).gru_fwd
 
 
 def zero_cell(input_size, hidden_size):
-    params = GruCellParams.create("g", input_size, hidden_size, np.random.default_rng(0))
-    for p in params.parameters():
+    owner = RelationEncoderParams.create(1, input_size, hidden_size, np.random.default_rng(0))
+    for p in owner.parameters():
         p.assign(np.zeros_like(p.data))
-    return params
+    return owner.gru_fwd
 
 
 def test_all_zero_params_halve_the_state():
@@ -67,7 +73,7 @@ def test_state_bound(seed):
     """Each |h_new[k]| is at most max(|h_prev[k]|, 1): the update is a convex
     blend of the previous state and a tanh candidate."""
     rng = np.random.default_rng(seed)
-    params = GruCellParams.create("g", 4, 5, rng)
+    params = make_cell(4, 5, rng)
     for p in params.parameters():
         p.assign(rng.normal(scale=2.0, size=p.data.shape))
     h_prev = rng.normal(scale=3.0, size=(1, 5))
@@ -79,7 +85,7 @@ def test_state_bound(seed):
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
-    params = GruCellParams.create("g", 3, 4, rng)
+    params = make_cell(3, 4, rng)
     h0 = Tensor(rng.standard_normal((1, 4)))
     x0 = Tensor(rng.standard_normal((1, 3)))
     x1 = Tensor(rng.standard_normal((1, 3)))

@@ -7,7 +7,7 @@ import pytest
 
 from sga import relation, syntax_graph
 from sga.autodiff import (
-    Tensor, backward, concat_last, mul, recording, sum_all, take, zero_gradients,
+    Parameter, Tensor, backward, concat_last, mul, recording, sum_all, take, zero_gradients,
 )
 from sga.conllu import DependencyTree, Edge
 from sga.config import PipelineConfig
@@ -76,7 +76,7 @@ def numpy_bigru(path_ids, params):
     def run(cell, ids):
         w = {name: getattr(cell, name).data for name in
              ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")}
-        h = np.zeros(params.d_h)
+        h = np.zeros(w["b_z"].shape)
         for i in ids:
             x = table[i]
             z = sigma(w["w_z"] @ x + w["u_z"] @ h + w["b_z"])
@@ -95,7 +95,7 @@ class TestEncodePath:
         cmap = expand_to_characters(tree)
         vocab = LabelVocab.build([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=5, rng=rng)
-        for p in params.gru_fwd.parameters() + params.gru_bwd.parameters():
+        for p in params.parameters()[1:]:
             p.assign(np.zeros_like(p.data))
         out = encode_paths(cmap.table, params, vocab)
         assert max(cmap.table.length) == 3
@@ -109,9 +109,12 @@ class TestEncodePath:
         params.edge_embedding.assign(np.full((4, 1), e))
         values = dict(w_z=0.3, b_z=0.1, w_h=0.7, b_h=0.2, w_r=0.5, b_r=-0.3,
                       u_z=-0.4, u_r=0.6, u_h=-0.5)
-        for cell in (params.gru_fwd, params.gru_bwd):
-            for name, value in values.items():
-                getattr(cell, name).assign(np.full_like(getattr(cell, name).data, value))
+        # Both directions: w rows (w_z, w_r, w_h), u_zr and b_zr rows (z, r).
+        params.w.assign(np.tile([[values["w_z"]], [values["w_r"]], [values["w_h"]]], (2, 1, 1)))
+        params.u_zr.assign(np.tile([[values["u_z"]], [values["u_r"]]], (2, 1, 1)))
+        params.b_zr.assign(np.tile([values["b_z"], values["b_r"]], (2, 1)))
+        params.u_h.assign(np.full((2, 1, 1), values["u_h"]))
+        params.b_h.assign(np.full((2, 1), values["b_h"]))
 
         def sigma(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -160,7 +163,7 @@ class TestEncodePath:
         params = RelationEncoderParams.create(3, 2, 2, np.random.default_rng(0))
         vocab = LabelVocab([])
         with pytest.raises(ValueError, match="empty path"):
-            lone_path_encoding((), params, vocab)
+            lone_path_encoding((), params.edge_embedding, (params.gru_fwd, params.gru_bwd), vocab)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -236,8 +239,10 @@ class TestEncodePath:
         paths, _ = distinct_paths(model.prepare(tree).char_map)
         assert len(paths) > 50
         batch = model.encode_relations(model.prepare(tree)).encodings
+        rel = model.relation
+        cells = (rel.gru_fwd, rel.gru_bwd)
         for row, path in zip(batch.data, paths):
-            alone = lone_path_encoding(path.key, model.relation, model.label_vocab)
+            alone = lone_path_encoding(path.key, rel.edge_embedding, cells, model.label_vocab)
             assert np.array_equal(alone.data[0], row)
 
 
@@ -248,10 +253,11 @@ def concat_rows(parts):
     return Tensor._result(data, tuple(parts), lambda g: tuple(np.split(g, ends)))
 
 
-def composed_encoding(paths, params, vocab):
+def composed_encoding(paths, params, vocab, cells):
     """The relation encoder built from composed autodiff ops: one
     `gru_cell_forward` per path length and direction on the level tensors,
-    the final rows gathered through the stacked levels."""
+    the final rows gathered through the stacked levels. `cells` are the
+    forward and backward cells, which take the weights' gradients."""
     ids = np.array([vocab.index_of(label) for label in paths.alphabet])
     last, first = ids[paths.last], ids[paths.first]
     order = np.argsort(paths.length, kind="stable")
@@ -260,7 +266,7 @@ def composed_encoding(paths, params, vocab):
     rank[order] = np.arange(len(order))
 
     def run(cell, parent, label_ids):
-        state = Tensor(np.zeros((1, params.d_h)))
+        state = Tensor(np.zeros((1, params.u_h.shape[-1])))
         states, previous = [], 0
         for level in levels:
             parents = take(state, rank[parent[level]] - previous)
@@ -270,9 +276,7 @@ def composed_encoding(paths, params, vocab):
             previous = rank[level[0]]
         return take(concat_rows(states), rank[:-1])
 
-    return concat_last([
-        run(params.gru_fwd, paths.prefix, last), run(params.gru_bwd, paths.suffix, first)
-    ])
+    return concat_last([run(cells[0], paths.prefix, last), run(cells[1], paths.suffix, first)])
 
 
 class TestFusedLevels:
@@ -280,7 +284,8 @@ class TestFusedLevels:
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_equal_composed_cell(self, seed, d_e, d_h):
         """The fused op's hand-written backward pass gives the composed
-        cell's gradients for the label table and all 18 cell weights."""
+        cell's gradients for the label table and all 18 cell weights: each
+        cell weight's against its slice of the stacked gradients."""
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, 12)
         vocab = LabelVocab.build([build_syntax_graph(tree)])
@@ -298,23 +303,35 @@ class TestFusedLevels:
             assert any(len(seen) < width for seen, width in zip(depths[1:], widths[1:]))
             assert len(set(parent[table.length == 2])) < np.sum(table.length == 2)
         probe = Tensor(rng.standard_normal((len(table), 2 * d_h)))
-        grads = []
-        for encode in (encode_paths, composed_encoding):
-            zero_gradients(params.parameters())
-            with recording():
-                out = encode(table, params, vocab)
-                backward(sum_all(mul(out, probe)))
-            grads.append((out.data, [p.grad.copy() for p in params.parameters()]))
-        (fused, fused_grads), (composed, composed_grads) = grads
-        assert np.array_equal(fused, composed)
-        assert len(fused_grads) == 19
-        for p, a, b in zip(params.parameters(), fused_grads, composed_grads):
-            assert np.any(b != 0.0), p.name
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=p.name)
+        zero_gradients(params.parameters())
+        with recording():
+            fused = encode_paths(table, params, vocab)
+            backward(sum_all(mul(fused, probe)))
+        fused_grads = [p.grad.copy() for p in params.parameters()]
+        params.edge_embedding.zero_grad()
+        cells = (params.gru_fwd, params.gru_bwd)
+        with recording():
+            composed = composed_encoding(table, params, vocab, cells)
+            backward(sum_all(mul(composed, probe)))
+        assert np.array_equal(fused.data, composed.data)
+        assert len(fused_grads) == 6
+        # The stacked gradients read through the same slicing as the weights.
+        stacked = RelationEncoderParams(*(
+            Parameter(p.name, g) for p, g in zip(params.parameters(), fused_grads)
+        ))
+        pairs = [(params.edge_embedding.grad, fused_grads[0], "rel.edge_embedding")]
+        for cell, grad in zip(cells, (stacked.gru_fwd, stacked.gru_bwd)):
+            pairs += [
+                (p.grad, g.data, p.name) for p, g in zip(cell.parameters(), grad.parameters())
+            ]
+        assert len(pairs) == 19
+        for a, b, name in pairs:
+            assert np.any(a != 0.0), name
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12, err_msg=name)
 
     def test_relation_stage_is_one_op(self, flight_tree):
         """Both directions, every level and the concatenation record one op
-        whose parents are the label table and the 18 cell weights."""
+        whose parents are the label table and the five stacked cell weights."""
         model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
         with recording():
             encodings = model.encode_relations(model.prepare(flight_tree)).encodings
@@ -358,10 +375,11 @@ class TestDistinctBatch:
         rel = relation_tensor(cmap, params, vocab)
         scattered = rel.encodings.data[rel.pair_index]
         m = len(cmap.word_of_char)
+        cells = (params.gru_fwd, params.gru_bwd)
         for ci in range(0, m, 5):
             for cj in range(0, m, 7):
                 path = cmap.table.path(cmap.word_of_char[ci], cmap.word_of_char[cj])
-                naive = lone_path_encoding(path.key, params, vocab)
+                naive = lone_path_encoding(path.key, params.edge_embedding, cells, vocab)
                 assert np.array_equal(naive.data[0], scattered[ci, cj])
 
 
