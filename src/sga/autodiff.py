@@ -5,9 +5,11 @@ wraps a row-major numpy array. Inside ``with recording():`` (a context
 variable, so per thread and task) each op result also remembers its VJP,
 its parents and the op recorded just before it in the same outermost block,
 so the block's record is a chain from newest to oldest (a Wengert list).
-:func:`backward` runs that chain once in reverse order of creation: no graph
-search. A parent that is a :class:`Parameter` takes its gradient straight
-into ``grad``; other parents hold theirs on the tensor until their turn.
+:func:`backward` runs that chain once in reverse order of creation, with no
+graph search, and consumes it: the walk takes each op's VJP and parents off
+the op, so the arrays they saved are freed once its gradient is taken. A
+parent that is a :class:`Parameter` takes its gradient straight into
+``grad``; other parents hold theirs on the tensor until their turn.
 Outside, ops keep their values only: inference holds no tape. The generic
 op set is deliberately small: add, sub, mul, matmul_rows, tanh, sigmoid,
 sum_all, concat_last and take, for the embedding lookup, the composed GRU
@@ -75,7 +77,7 @@ class Tensor:
 
     # _prev: the tensor recorded just before this one on tape _tape; _grad:
     # the gradient pending for this tensor during `backward`.
-    __slots__ = ("data", "_parents", "_vjp", "_prev", "_tape", "_grad", "_done")
+    __slots__ = ("data", "_parents", "_vjp", "_prev", "_tape", "_grad")
 
     def __init__(self, values):
         data = _as_array(values)
@@ -84,7 +86,6 @@ class Tensor:
         self.data = data
         self._parents: tuple = ()
         self._vjp = self._prev = self._tape = self._grad = None
-        self._done = False
 
     @classmethod
     def _result(cls, data: Array, parents: tuple, vjp) -> "Tensor":
@@ -92,7 +93,6 @@ class Tensor:
         out = object.__new__(Tensor)
         out.data = data
         out._grad = None
-        out._done = False
         tape = _TAPE.get()
         if tape is None:
             out._parents, out._vjp, out._prev, out._tape = (), None, None, None
@@ -305,25 +305,21 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of every Parameter that participated in `loss`.
 
     The record of the `recording()` block that computed `loss` is run back
-    from `loss` until no gradient is pending. A loss with no record, a
-    second call on the same loss, or a record that reaches a tensor of
-    another block raises a StateError; recompute the loss to run another
-    pass. Gradients accumulate into Parameter.grad, so zero them
-    (zero_gradients) between independent passes.
+    from `loss` until no gradient is pending, and consumed as it runs: each
+    op loses its VJP and parents before its VJP is called. A loss with no
+    record (computed outside `recording()`, or already differentiated), or a
+    record that reaches a tensor of another block or one an earlier pass
+    consumed, raises a StateError; recompute the loss to run another pass.
+    Gradients accumulate into Parameter.grad, so zero them (zero_gradients)
+    between independent passes.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if loss._vjp is None and not isinstance(loss, Parameter):
-        raise StateError("this loss has no recorded graph; compute it inside recording()")
-    if loss._done:
+    if loss._vjp is None:
         raise StateError(
-            "backward was already called on this loss; rebuild the computation "
-            "before differentiating again"
+            "this loss has no record: compute it inside recording(), and "
+            "differentiate it only once"
         )
-    loss._done = True
-    if isinstance(loss, Parameter):
-        loss.grad += 1.0
-        return
     tape, node, pending = loss._tape, loss, 1
     loss._grad = np.ones_like(loss.data)
     try:
@@ -332,19 +328,22 @@ def backward(loss: Tensor) -> None:
             if g is not None:
                 node._grad = None
                 pending -= 1
-                for parent, pg in zip(node._parents, node._vjp(g)):
+                parents, vjp = node._parents, node._vjp
+                node._parents, node._vjp = (), None
+                for parent, pg in zip(parents, vjp(g)):
                     if isinstance(parent, Parameter):
                         parent.grad += pg
-                    elif parent._tape is tape:
+                    elif parent._tape is tape and parent._vjp is not None:
                         if parent._grad is None:
                             parent._grad = pg
                             pending += 1
                         else:
                             parent._grad = parent._grad + pg
-                    elif parent._vjp is not None:
+                    elif parent._tape is not None:
                         raise StateError(
                             "the loss reads a tensor recorded in another recording() "
-                            "block; compute it inside the loss's block"
+                            "block, or one an earlier backward consumed; compute it "
+                            "inside the loss's block"
                         )
             node = node._prev
     except BaseException:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,16 +47,11 @@ class Model:
     stack: EncoderStackParams
 
     @classmethod
-    def create(
-        cls,
-        config: PipelineConfig,
-        trees: Sequence[DependencyTree],
-        seed: Optional[int] = None,
-    ) -> "Model":
+    def create(cls, config: PipelineConfig, trees: Sequence[DependencyTree]) -> "Model":
         char_vocab = build_char_vocab(trees)
         graphs = [build_syntax_graph(tree) for tree in trees]
         label_vocab = LabelVocab.build(graphs)
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+        rng = np.random.default_rng(config.seed)
         relation = RelationEncoderParams.create(
             len(label_vocab), config.d_e, config.d_h, rng
         )

@@ -10,7 +10,6 @@ relation encoder against each path stepped alone, label by label.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,7 +59,6 @@ class CheckResult:
 class SuiteResult:
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
-    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -70,7 +68,6 @@ class SuiteResult:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "seconds": round(self.seconds, 3),
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -372,12 +369,11 @@ def suite_dedup(seed: int = 0, sentences: int = 50) -> SuiteResult:
     encoding bit for bit: each character pair's oracle path, stepped alone."""
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="dedup")
-    config = PipelineConfig.toy(seed=seed)
     mismatches = 0
     pairs_checked = 0
     for _ in range(sentences):
         tree = random_sentence_tree(rng)
-        model = Model.create(config, [tree], seed=int(rng.integers(0, 2**31)))
+        model = Model.create(PipelineConfig.toy(seed=int(rng.integers(0, 2**31))), [tree])
         sentence = model.prepare(tree)
         relations = model.encode_relations(sentence)
         scattered = relations.encodings.data[relations.pair_index]
@@ -411,10 +407,4 @@ SUITES: dict[str, Callable[[int], SuiteResult]] = {
 
 
 def run_suites(names: list[str], seed: int = 0) -> list[SuiteResult]:
-    results = []
-    for name in names:
-        start = time.perf_counter()
-        suite = SUITES[name](seed)
-        suite.seconds = time.perf_counter() - start
-        results.append(suite)
-    return results
+    return [SUITES[name](seed) for name in names]

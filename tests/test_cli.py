@@ -301,6 +301,13 @@ class TestVerifyCommand:
         assert main(["verify", "dedup", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_report_depends_only_on_suite_and_seed(self, tmp_path):
+        """Two runs write the same bytes: the report holds no timing."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["verify", "algebra", "--out", str(first)]) == 0
+        assert main(["verify", "algebra", "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         from sga.verify import SUITES, CheckResult, SuiteResult
 
