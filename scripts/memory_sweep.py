@@ -7,8 +7,12 @@ random.Random(W) draws its shape with the benchmark pools' tree generator
 n = W characters and U, the number of distinct relation paths, grows as
 about W². Each size prints one JSON line: n, W, U, L (the longest path), the
 forward seconds (relation stage included), the backward seconds with
---train, and ru_maxrss in MB before and after. `max_chars` is raised to fit
-when a size needs it, so sizes above the default bound also run.
+--train, and ru_maxrss in MB before and after. With --train a second
+recorded step, run after ru_maxrss is read, adds what tracemalloc traces
+above the heap before its forward, in MiB: `kept_mb`, held once the forward
+returns, and `backward_peak_mb`, the peak during backward. `max_chars` is
+raised to fit when a size needs it, so sizes above the default bound also
+run.
 
     python3 scripts/memory_sweep.py --words 40 80 160 200
     python3 scripts/memory_sweep.py --toy --train --words 20 40
@@ -21,6 +25,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from sga.autodiff import backward, recording, sum_all
@@ -43,6 +48,21 @@ def random_tree(words: int) -> DependencyTree:
 
 def max_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def traced_step(model: Model, sentence) -> dict:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with recording():
+            loss = sum_all(model.forward(sentence))
+        kept = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return {"kept_mb": round(kept / 2**20, 1), "backward_peak_mb": round(peak / 2**20, 1)}
 
 
 def measure(words: int, toy: bool, train: bool) -> dict:
@@ -68,6 +88,8 @@ def measure(words: int, toy: bool, train: bool) -> dict:
         model.forward(sentence)
         row["forward_s"] = round(time.perf_counter() - began, 3)
     row["rss_after_mb"] = round(max_rss_mb(), 1)
+    if train:
+        row.update(traced_step(model, sentence))
     return row
 
 

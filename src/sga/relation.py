@@ -7,22 +7,23 @@ relation encoding of the pair. Encodings depend only on the label sequence,
 so a sentence encodes each distinct path once, and a pair table sends every
 ordered character pair to the row of its path.
 
-The prefix and the suffix of a tree path are paths of the same sentence
-(see `syntax_graph.PathTable`), so the forward state of path u is one step
-from the forward state of its prefix, and its backward state one step from
-the backward state of its suffix. Both directions therefore step every
-distinct path once, together, in one `gru_level` call per path length --
-a slice, since path ids run by length -- and the whole stage records one
-autodiff op (`encode_paths`) whose backward pass is written by hand and
-walks the levels once in reverse. The two cells' weights are stored
-stacked on a leading direction axis, in the layout the op reads, so a call
-copies no weights and its backward pass returns one gradient per stored
-array; `gru_fwd` and `gru_bwd` slice one cell back out for the oracles. The
-z and r gates share one recurrent product and one `logistic` call. The
-input projections are hoisted out of the recurrence: the label table goes
-through the stacked input weights once, and each step gathers its rows.
-The path table carries label ids, so the vocabulary looks up each distinct
-label of a sentence once.
+The prefix and the suffix of a tree path are paths of the same sentence (see
+`syntax_graph.PathTable`), so the forward state of path u is one step from
+the forward state of its prefix, and its backward state one step from the
+backward state of its suffix. Both directions therefore step every distinct
+path once, together, in one `gru_level` call per path length -- a slice,
+since path ids run by length -- and the whole stage records one autodiff op
+(`encode_paths`) whose backward pass is written by hand and walks the levels
+once in reverse. A recorded op keeps the states, whose first U rows are the
+encodings, and one array of the gates; its backward pass regathers h and
+recomputes r h. The weights are stored stacked on a leading direction axis,
+in the layout the op reads, so a call copies no weights and its backward
+pass returns one gradient per stored array; `gru_fwd` and `gru_bwd` slice
+one cell back out for the oracles. The z and r gates share one recurrent
+product and one `logistic` call. The input projections are hoisted out of
+the recurrence: the label table goes through the stacked input weights once,
+and each step gathers its rows. The path table carries label ids, so the
+vocabulary looks up each distinct label of a sentence once.
 
 Batch invariance: a row's bits must not depend on the other paths in its
 call (the dedup check compares each row with a lone-path encoding that
@@ -156,16 +157,16 @@ def gru_level(weights, h, x):
     """One batched GRU step of both directions in numpy: states `h`
     (2, B, d_h), input rows `x` (2, B, 3 d_h) already projected through the
     stacked (w_z; w_r; w_h), and `weights` the stacked (u_z; u_r), (b_z; b_r),
-    u_h and b_h. Returns the new states and what the backward pass reads.
+    u_h and b_h. Returns the new states and the gates that the backward pass
+    keeps, z and r together and the candidate c; it recomputes h and r h.
     The gates keep the composed cell's order, (x W + h U) + b and
     (1 - z) h + z c, so the bits match it."""
     u_zr, b_zr, u_h, b_h = weights
     d = h.shape[-1]
     zr = logistic(x[..., : 2 * d] + row_products(h, u_zr) + b_zr)
     z, r = zr[..., :d], zr[..., d:]
-    rh = r * h
-    c = np.tanh(x[..., 2 * d :] + row_products(rh, u_h) + b_h)
-    return (1.0 - z) * h + z * c, (h, zr, rh, c)
+    c = np.tanh(x[..., 2 * d :] + row_products(r * h, u_h) + b_h)
+    return (1.0 - z) * h + z * c, zr, c
 
 
 def encode_paths(
@@ -179,61 +180,60 @@ def encode_paths(
     both GRUs starting from zero states. The forward GRU steps u from its
     prefix on its last label, the backward GRU from its suffix on its first
     label, and each path length, one contiguous id range, is one step of
-    both. The states live in one (2, U + 1, d_h) array, direction first,
-    whose first U rows are the encodings and whose last row is the zero
-    state that parent -1 reads. The cell's products are batch-invariant, so
-    every row has the same bits as the path stepped alone.
+    both. The states live in one (U + 1, 2, d_h) array, path first: its
+    first U rows, as a view, are the encodings, and its last row is the zero
+    state that parent -1 reads. A recorded call keeps the states and one
+    (2, U, 3 d_h) array of the z, r and c gates, and its backward pass
+    regathers h and recomputes r h. The cell's products are batch-invariant,
+    so every row has the same bits as the path stepped alone.
     """
     table, w = params.edge_embedding.data, params.w.data
     u_zr, u_h = params.u_zr.data, params.u_h.data
-    d = u_h.shape[-1]
+    d, rows = u_h.shape[-1], len(paths)
     ids = np.array([vocab.index_of(label) for label in paths.alphabet], dtype=np.int64)
     ends = np.cumsum(np.bincount(paths.length)[1:])
     levels = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-    # (direction, parent) and (direction, label) index pairs into the states
-    # and the (2, V, 3 d_h) inputs.
+    # (parent, direction) index pairs into the states, (direction, label) into x.
     side = np.arange(2)[:, None]
     parent = np.stack([paths.prefix, paths.suffix])
     labels = ids[np.stack([paths.last, paths.first])]
     weights = (u_zr, params.b_zr.data[:, None], u_h, params.b_h.data[:, None])
     x = row_products(table, w)
-    states = np.zeros((2, len(paths) + 1, d))
-    saved, keep = [], _TAPE.get() is not None  # a level's arrays outlive it only for backward
+    states = np.zeros((rows + 1, 2, d))
+    gates = np.empty((2, rows, 3 * d)) if _TAPE.get() is not None else None
     for level in levels:
-        states[:, level], step = gru_level(
-            weights, states[side, parent[:, level]], x[side, labels[:, level]]
-        )
-        if keep:
-            saved.append(step)
+        new, zr, c = gru_level(weights, states[parent[:, level], side], x[side, labels[:, level]])
+        states[level] = new.swapaxes(0, 1)
+        if gates is not None:
+            gates[:, level, : 2 * d], gates[:, level, 2 * d :] = zr, c
 
     def vjp(g):
-        d_states = np.zeros_like(states)
-        d_states[:, :-1] = g.reshape(len(paths), 2, d).swapaxes(0, 1)
+        d_states = np.zeros((2, rows + 1, d))
+        d_states[:, :-1] = g.reshape(rows, 2, d).swapaxes(0, 1)
         d_x = np.zeros_like(x)
-        d_gates, kept = [], []
-        for level, (h, zr, rh, c) in zip(reversed(levels), reversed(saved)):
-            d_new = d_states[:, level]
+        # Paths in reverse level order, the order the weight gradients sum in.
+        d_gates, h_all, rh_all = (np.empty((2, rows, k * d)) for k in (3, 1, 1))
+        for level in reversed(levels):
+            out = slice(rows - level.stop, rows - level.start)
+            d_new, h = d_states[:, level], states[parent[:, level], side]
+            zr, c = gates[:, level, : 2 * d], gates[:, level, 2 * d :]
             z, r = zr[..., :d], zr[..., d:]
+            h_all[:, out], rh_all[:, out] = h, r * h
             d_c = d_new * z * (1.0 - c * c)
             d_rh = d_c @ u_h
             d_zr = np.concatenate([d_new * (c - h), d_rh * h], axis=-1) * zr * (1.0 - zr)
-            np.add.at(
-                d_states, (side, parent[:, level]), d_new * (1.0 - z) + d_rh * r + d_zr @ u_zr
-            )
-            d_gates.append(np.concatenate([d_zr, d_c], axis=-1))
-            np.add.at(d_x, (side, labels[:, level]), d_gates[-1])
-            kept.append((h, rh))
-        d_all = np.concatenate(d_gates, axis=1)  # (2, U, 3 d_h), paths in reverse level order
-        h, rh = (np.concatenate(a, axis=1) for a in zip(*kept))
-        d_b = d_all.sum(axis=1)
+            d_prev = d_new * (1.0 - z) + d_rh * r + d_zr @ u_zr
+            np.add.at(d_states, (side, parent[:, level]), d_prev)
+            d_gates[:, out, : 2 * d], d_gates[:, out, 2 * d :] = d_zr, d_c
+            np.add.at(d_x, (side, labels[:, level]), d_gates[:, out])
+        d_b = d_gates.sum(axis=1)
         return (
             (d_x @ w).sum(axis=0), d_x.swapaxes(1, 2) @ table,
-            d_all[..., : 2 * d].swapaxes(1, 2) @ h, d_b[:, : 2 * d],
-            d_all[..., 2 * d :].swapaxes(1, 2) @ rh, d_b[:, 2 * d :],
+            d_gates[..., : 2 * d].swapaxes(1, 2) @ h_all, d_b[:, : 2 * d],
+            d_gates[..., 2 * d :].swapaxes(1, 2) @ rh_all, d_b[:, 2 * d :],
         )
 
-    encodings = states[:, :-1].swapaxes(0, 1).reshape(len(paths), 2 * d)
-    return Tensor._result(encodings, tuple(params.parameters()), vjp)
+    return Tensor._result(states[:-1].reshape(rows, 2 * d), tuple(params.parameters()), vjp)
 
 
 @dataclass

@@ -404,9 +404,10 @@ class TestBackward:
 def test_recorded_step_frees_each_op_as_backward_passes_it():
     """One toy training step on a 30-word tree of one-letter words (n = 30,
     U = 681). Its backward peak above the heap before the forward stays
-    under 1.5x the memory the forward kept: measured 1.33x when each op's
-    saved arrays are freed as the walk passes it, 1.75x when every op keeps
-    them until backward returns."""
+    under 1.5x the memory the forward kept: measured 1.42x when each op's
+    saved arrays are freed as the walk passes it (1.33x while the relation
+    op also kept h and r h per level, a larger denominator), 1.75x when
+    every op keeps them until backward returns."""
     base = random_tree(np.random.default_rng(21), 30)
     tree = dataclasses.replace(base, forms=tuple("abcdefghij"[i % 10] for i in range(30)))
     model = Model.create(PipelineConfig.toy(seed=0), [tree])

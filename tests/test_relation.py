@@ -1,6 +1,8 @@
 """Label vocabulary, path encoding, and dedup batching."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from sga.syntax_graph import (
 from sga.verify import lca_walk_path, lone_path_encoding, random_sentence_tree, random_tree
 
 from composed_ops import recorded_ops
+from test_encoder import closure_arrays
 
 TWO_WORD = DependencyTree(("Dogs", "bark"), (Edge(2, 1, "nsubj"),), 2)
 
@@ -352,6 +355,61 @@ class TestFusedLevels:
                 counts.append(len(recorded_ops(model.encode_relations(sentence).encodings)))
         assert sizes[0][0] != sizes[1][0] and sizes[0][1] != sizes[1][1]
         assert counts == [1, 1]
+
+
+class TestRecordedState:
+    """A recorded call keeps the path-major states, whose first U rows are
+    the encodings it returns, and one gate array; its backward pass
+    regathers h and r h. On the 30-word tree of one-letter words that
+    `test_autodiff` steps (n = 30, U = 681, toy dims)."""
+
+    @pytest.fixture(scope="class")
+    def one_letter_tree(self):
+        base = random_tree(np.random.default_rng(21), 30)
+        tree = dataclasses.replace(base, forms=tuple("abcdefghij"[i % 10] for i in range(30)))
+        model = Model.create(PipelineConfig.toy(seed=0), [tree])
+        table = model.prepare(tree).char_map.table
+        assert len(table) == 681
+        with recording():  # first-call allocations
+            encode_paths(table, model.relation, model.label_vocab)
+        return model, table
+
+    def test_keeps_states_and_gates(self, one_letter_tree):
+        """At most the (U + 1, 2, d_h) states and the (2, U, 3 d_h) gates,
+        plus the two (2, U) int64 index arrays, the (2, V, 3 d_h) label input
+        projection and 16 KiB of Python objects: 394 KB against the 647 KB
+        kept when the op also saved h and r h per level and copied its
+        encodings out of direction-first states (measured 381 KB)."""
+        model, table = one_letter_tree
+        paths, d, labels = len(table), model.config.d_h, len(model.label_vocab)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with recording():
+                out = encode_paths(table, model.relation, model.label_vocab)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = (paths + 1) * 2 * d + 2 * paths * 3 * d
+        slack = 8 * (2 * 2 * paths + 2 * labels * 3 * d) + 16 * 1024
+        assert out.shape == (paths, 2 * d)
+        assert kept <= 8 * arrays + slack, (kept, 8 * arrays + slack)
+
+    def test_encodings_are_a_view_of_the_states(self, one_letter_tree):
+        model, table = one_letter_tree
+        with recording():
+            out = encode_paths(table, model.relation, model.label_vocab)
+        assert out.data.flags.c_contiguous and not out.data.flags.owndata
+        assert any(np.shares_memory(out.data, a) for a in closure_arrays(out._vjp))
+
+    def test_backward_closes_over_no_per_level_arrays(self, one_letter_tree):
+        """The only sequence the VJP closes over is the level slices."""
+        model, table = one_letter_tree
+        with recording():
+            out = encode_paths(table, model.relation, model.label_vocab)
+        for cell in out._vjp.__closure__:
+            if isinstance(cell.cell_contents, (list, tuple)):
+                assert all(isinstance(level, slice) for level in cell.cell_contents)
 
 
 class TestDistinctBatch:
