@@ -5,14 +5,20 @@ The sentence of size W is a random recursive tree of W one-character words:
 random.Random(W) draws its shape with the benchmark pools' tree generator
 (perfbench/workloads.py) and each edge's label from their 16 labels. So
 n = W characters and U, the number of distinct relation paths, grows as
-about W². Each size prints one JSON line: n, W, U, L (the longest path), the
-forward seconds (relation stage included), the backward seconds with
---train, and ru_maxrss in MB before and after. With --train a second
-recorded step, run after ru_maxrss is read, adds what tracemalloc traces
-above the heap before its forward, in MiB: `kept_mb`, held once the forward
-returns, and `backward_peak_mb`, the peak during backward. `max_chars` is
-raised to fit when a size needs it, so sizes above the default bound also
-run.
+about W². Each size builds the model and first runs one untimed warm-up
+step on the tree of min(W, 4) words, so that one-time set-up in the process
+is not timed. Each size then prints one JSON line:
+- n, W, U and L (the longest path) of the size-W tree;
+- `rss_before_mb`, ru_maxrss in MB after the warm-up;
+- `forward_s`, the seconds of one forward on the size-W tree (relation stage
+  included), and with --train `backward_s`, the seconds of its backward;
+- `rss_after_mb`, ru_maxrss in MB after that step;
+- with --train, from a second recorded step run after ru_maxrss is read,
+  what tracemalloc traces above the heap before its forward, in MiB:
+  `kept_mb`, held once the forward returns, and `backward_peak_mb`, the
+  peak during backward.
+`max_chars` is raised to fit when a size needs it, so sizes above the
+default bound also run.
 
     python3 scripts/memory_sweep.py --words 40 80 160 200
     python3 scripts/memory_sweep.py --toy --train --words 20 40
@@ -65,28 +71,33 @@ def traced_step(model: Model, sentence) -> dict:
     return {"kept_mb": round(kept / 2**20, 1), "backward_peak_mb": round(peak / 2**20, 1)}
 
 
+def timed_step(model: Model, sentence, train: bool) -> dict:
+    began = time.perf_counter()
+    if not train:
+        model.forward(sentence)
+        return {"forward_s": round(time.perf_counter() - began, 3)}
+    with recording():
+        loss = sum_all(model.forward(sentence))
+        forward_s = round(time.perf_counter() - began, 3)
+        began = time.perf_counter()
+        backward(loss)
+    return {"forward_s": forward_s, "backward_s": round(time.perf_counter() - began, 3)}
+
+
 def measure(words: int, toy: bool, train: bool) -> dict:
     tree = random_tree(words)
     dims = {"seed": 0, "max_chars": max(400, 2 * words)}
     config = PipelineConfig.toy(**dims) if toy else PipelineConfig(**dims)
     model = Model.create(config, [tree])
+    # The warm-up tree's words are the first of the tree's own words.
+    timed_step(model, model.prepare(random_tree(min(words, 4))), train)
     sentence = model.prepare(tree)
     table = sentence.char_map.table
     row = {
         "n": sentence.n_chars, "W": words, "U": len(table),
         "L": int(table.length.max()), "rss_before_mb": round(max_rss_mb(), 1),
     }
-    began = time.perf_counter()
-    if train:
-        with recording():
-            loss = sum_all(model.forward(sentence))
-            row["forward_s"] = round(time.perf_counter() - began, 3)
-            began = time.perf_counter()
-            backward(loss)
-        row["backward_s"] = round(time.perf_counter() - began, 3)
-    else:
-        model.forward(sentence)
-        row["forward_s"] = round(time.perf_counter() - began, 3)
+    row.update(timed_step(model, sentence, train))
     row["rss_after_mb"] = round(max_rss_mb(), 1)
     if train:
         row.update(traced_step(model, sentence))

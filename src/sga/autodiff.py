@@ -357,7 +357,9 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
-    """uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out))."""
-    s = math.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-s, s, size=(rows, cols))
+def glorot_uniform(rng: np.random.Generator, *shape: int) -> Array:
+    """uniform(-s, s) over `shape` with s = sqrt(6 / (fan_in + fan_out)), the
+    fans of the last two axes: a stack of matrices is one draw, and every
+    matrix in it has the fans it would have alone."""
+    s = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-s, s, size=shape)

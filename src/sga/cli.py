@@ -273,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toytrain", help="overfit a toy objective, write a loss curve")
     p.add_argument("input", help="CoNLL-U corpus (at most 100 sentences)")
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--warmup", type=int, default=None,
-                   help="enable the inverse-sqrt schedule with this many warmup steps")
+    rate = p.add_mutually_exclusive_group()
+    rate.add_argument("--lr", type=float, default=1e-2,
+                      help="constant Adam step size (default 0.01); excludes --warmup")
+    rate.add_argument("--warmup", type=int, default=None,
+                      help="inverse-sqrt schedule with this many warmup steps; excludes --lr")
     p.add_argument("--out", default="loss.csv")
     _add_config_flags(p)
     p.set_defaults(func=cmd_toytrain)

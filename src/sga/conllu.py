@@ -66,22 +66,17 @@ def _finish_sentence(rows, sent_index: int, first_line: int) -> DependencyTree:
             edges.append(Edge(head=head, dependent=tid, label=deprel))
     tree = DependencyTree(forms=forms, edges=tuple(edges), root_index=roots[0])
 
-    # Reject cycles / disconnected parses: every word must hang off the root.
+    # Every word must hang off the root. Each token has one head, so the walk
+    # meets it at most once, and the tokens of a cycle are unreachable.
     children: dict[int, list[int]] = {}
     for edge in tree.edges:
         children.setdefault(edge.head, []).append(edge.dependent)
-    seen = {tree.root_index}
-    frontier = [tree.root_index]
-    while frontier:
-        node = frontier.pop()
-        for child in children.get(node, ()):
-            if child in seen:
-                raise StructureError(f"{ident}: cycle through token {child}")
-            seen.add(child)
-            frontier.append(child)
-    if len(seen) != n:
+    reached = [tree.root_index]
+    for node in reached:  # grows as the walk goes
+        reached.extend(children.get(node, ()))
+    if len(reached) != n:
         raise StructureError(
-            f"{ident}: {n - len(seen)} token(s) unreachable from the root (cycle)"
+            f"{ident}: {n - len(reached)} token(s) unreachable from the root (cycle)"
         )
     return tree
 

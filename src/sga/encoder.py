@@ -89,15 +89,10 @@ class EncoderBlockParams:
         if d_model % num_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by {num_heads} heads")
         d_head = d_model // num_heads
-        # Per head w_q, w_k, w_v, w_r, each drawn with its own fans.
-        heads = [
-            [glorot_uniform(rng, d_head, d_model) for _ in range(3)]
-            + [glorot_uniform(rng, 2 * d_model, 2 * d_h)]
-            for _ in range(num_heads)
-        ]
+        # One draw per stored array; each head's slice has one head's fans.
         return cls(
-            w_qkv=Parameter(f"{prefix}.w_qkv", np.stack([np.stack(h[:3]) for h in heads], 1)),
-            w_r=Parameter(f"{prefix}.w_r", np.stack([h[3] for h in heads])),
+            w_qkv=Parameter(f"{prefix}.w_qkv", glorot_uniform(rng, 3, num_heads, d_head, d_model)),
+            w_r=Parameter(f"{prefix}.w_r", glorot_uniform(rng, num_heads, 2 * d_model, 2 * d_h)),
             w_o=Parameter(f"{prefix}.w_o", glorot_uniform(rng, d_model, d_model)),
             ffn_w1=Parameter(f"{prefix}.ffn_w1", glorot_uniform(rng, d_ff, d_model)),
             ffn_b1=Parameter(f"{prefix}.ffn_b1", np.zeros(d_ff)),

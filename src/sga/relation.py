@@ -13,17 +13,18 @@ the forward state of its prefix, and its backward state one step from the
 backward state of its suffix. Both directions therefore step every distinct
 path once, together, in one `gru_level` call per path length -- a slice,
 since path ids run by length -- and the whole stage records one autodiff op
-(`encode_paths`) whose backward pass is written by hand and walks the levels
-once in reverse. A recorded op keeps the states, whose first U rows are the
-encodings, and one array of the gates; its backward pass regathers h and
-recomputes r h. The weights are stored stacked on a leading direction axis,
-in the layout the op reads, so a call copies no weights and its backward
-pass returns one gradient per stored array; `gru_fwd` and `gru_bwd` slice
-one cell back out for the oracles. The z and r gates share one recurrent
-product and one `logistic` call. The input projections are hoisted out of
-the recurrence: the label table goes through the stacked input weights once,
-and each step gathers its rows. The path table carries label ids, so the
-vocabulary looks up each distinct label of a sentence once.
+(`encode_paths`). A recorded op keeps the states, whose first U rows are the
+encodings, and one array of the gates. Its backward pass gathers h once,
+walks the levels in reverse for the recurrence alone, then forms the input
+and weight gradients over all paths at once. The weights are stored stacked
+on a leading direction axis, in the layout the op reads, so a call copies no
+weights and its backward pass returns one gradient per stored array;
+`gru_fwd` and `gru_bwd` slice one cell back out for the oracles. The z and
+r gates share one recurrent product and one `logistic` call. The input
+projections are hoisted out of the recurrence: the label table goes through
+the stacked input weights once, and each step gathers its rows. The path
+table carries label ids, so the vocabulary looks up each distinct label of a
+sentence once.
 
 Batch invariance: a row's bits must not depend on the other paths in its
 call (the dedup check compares each row with a lone-path encoding that
@@ -118,18 +119,15 @@ class RelationEncoderParams:
         d_h: int,
         rng: np.random.Generator,
     ) -> "RelationEncoderParams":
+        # One draw per stored array; each gate's slice has one gate's fans.
         embedding = glorot_uniform(rng, vocab_size, d_e)
-        # Per cell, forward first: w_z, u_z, w_r, u_r, w_h, u_h, each drawn
-        # with its own fans.
-        cells = [[glorot_uniform(rng, d_h, n) for _ in range(3) for n in (d_e, d_h)]
-                 for _ in range(2)]
-        u = np.stack([np.concatenate(c[1::2]) for c in cells])
+        w, u_zr = glorot_uniform(rng, 2, 3, d_h, d_e), glorot_uniform(rng, 2, 2, d_h, d_h)
         return cls(
             edge_embedding=Parameter("rel.edge_embedding", embedding),
-            w=Parameter("rel.w", np.stack([np.concatenate(c[0::2]) for c in cells])),
-            u_zr=Parameter("rel.u_zr", u[:, : 2 * d_h]),
+            w=Parameter("rel.w", w.reshape(2, 3 * d_h, d_e)),
+            u_zr=Parameter("rel.u_zr", u_zr.reshape(2, 2 * d_h, d_h)),
             b_zr=Parameter("rel.b_zr", np.zeros((2, 2 * d_h))),
-            u_h=Parameter("rel.u_h", u[:, 2 * d_h :]),
+            u_h=Parameter("rel.u_h", glorot_uniform(rng, 2, d_h, d_h)),
             b_h=Parameter("rel.b_h", np.zeros((2, d_h))),
         )
 
@@ -183,9 +181,9 @@ def encode_paths(
     both. The states live in one (U + 1, 2, d_h) array, path first: its
     first U rows, as a view, are the encodings, and its last row is the zero
     state that parent -1 reads. A recorded call keeps the states and one
-    (2, U, 3 d_h) array of the z, r and c gates, and its backward pass
-    regathers h and recomputes r h. The cell's products are batch-invariant,
-    so every row has the same bits as the path stepped alone.
+    (2, U, 3 d_h) array of the z, r and c gates; its backward pass gathers h
+    and recomputes r h once, outside the level walk. The cell's products are
+    batch-invariant, so every row has the same bits as the path stepped alone.
     """
     table, w = params.edge_embedding.data, params.w.data
     u_zr, u_h = params.u_zr.data, params.u_h.data
@@ -210,27 +208,24 @@ def encode_paths(
     def vjp(g):
         d_states = np.zeros((2, rows + 1, d))
         d_states[:, :-1] = g.reshape(rows, 2, d).swapaxes(0, 1)
-        d_x = np.zeros_like(x)
-        # Paths in reverse level order, the order the weight gradients sum in.
-        d_gates, h_all, rh_all = (np.empty((2, rows, k * d)) for k in (3, 1, 1))
+        h, zr, c = states[parent, side], gates[..., : 2 * d], gates[..., 2 * d :]
+        d_gates = np.empty_like(gates)
         for level in reversed(levels):
-            out = slice(rows - level.stop, rows - level.start)
-            d_new, h = d_states[:, level], states[parent[:, level], side]
-            zr, c = gates[:, level, : 2 * d], gates[:, level, 2 * d :]
-            z, r = zr[..., :d], zr[..., d:]
-            h_all[:, out], rh_all[:, out] = h, r * h
-            d_c = d_new * z * (1.0 - c * c)
+            d_new, h_l, zr_l, c_l = d_states[:, level], h[:, level], zr[:, level], c[:, level]
+            z, r = zr_l[..., :d], zr_l[..., d:]
+            d_c = d_new * z * (1.0 - c_l * c_l)
             d_rh = d_c @ u_h
-            d_zr = np.concatenate([d_new * (c - h), d_rh * h], axis=-1) * zr * (1.0 - zr)
+            d_zr = np.concatenate([d_new * (c_l - h_l), d_rh * h_l], axis=-1) * zr_l * (1.0 - zr_l)
             d_prev = d_new * (1.0 - z) + d_rh * r + d_zr @ u_zr
             np.add.at(d_states, (side, parent[:, level]), d_prev)
-            d_gates[:, out, : 2 * d], d_gates[:, out, 2 * d :] = d_zr, d_c
-            np.add.at(d_x, (side, labels[:, level]), d_gates[:, out])
+            d_gates[:, level, : 2 * d], d_gates[:, level, 2 * d :] = d_zr, d_c
+        d_x = np.zeros_like(x)
+        np.add.at(d_x, (side, labels), d_gates)
         d_b = d_gates.sum(axis=1)
         return (
             (d_x @ w).sum(axis=0), d_x.swapaxes(1, 2) @ table,
-            d_gates[..., : 2 * d].swapaxes(1, 2) @ h_all, d_b[:, : 2 * d],
-            d_gates[..., 2 * d :].swapaxes(1, 2) @ rh_all, d_b[:, 2 * d :],
+            d_gates[..., : 2 * d].swapaxes(1, 2) @ h, d_b[:, : 2 * d],
+            d_gates[..., 2 * d :].swapaxes(1, 2) @ (zr[..., d:] * h), d_b[:, 2 * d :],
         )
 
     return Tensor._result(states[:-1].reshape(rows, 2 * d), tuple(params.parameters()), vjp)

@@ -171,6 +171,9 @@ def toy_train(
 ) -> list[float]:
     """Overfit the encoder plus a linear head onto the pseudo-targets.
 
+    Adam steps by `lr`, or by `warmup_lr` when `warmup_steps` is given,
+    which leaves `lr` unused (the CLI's --lr and --warmup exclude each other).
+
     Returns one loss per row of the loss curve: index 0 is the initial
     full-corpus loss before any update, index e > 0 the mean per-step
     training loss during epoch e. Deterministic for a fixed model seed.

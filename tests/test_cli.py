@@ -371,6 +371,17 @@ class TestToytrainCommand:
         assert f"{name} must be" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_lr_and_warmup_are_exclusive(self, tmp_path, capsys):
+        """The schedule sets every step's size, so a rate given with it
+        would be ignored; the two flags are a usage error together."""
+        out = tmp_path / "loss.csv"
+        argv = ["toytrain", CORPUS, "--epochs", "1", *TOY, "--warmup", "10", "--lr", "0.5",
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "not allowed with argument" in err
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):

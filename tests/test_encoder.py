@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sga.autodiff import (
-    Parameter, Tensor, backward, glorot_uniform, lift, mul, recording, softmax, sum_all,
+    Parameter, Tensor, backward, lift, mul, recording, softmax, sum_all,
     zero_gradients,
 )
 from sga.config import PipelineConfig
@@ -609,37 +609,34 @@ def closure_arrays(fn):
 
 class TestStackedWeights:
     """The attention and GRU weights are stored stacked, in the layout the
-    fused ops read, and drawn as they were when each head and gate was its
-    own parameter."""
+    fused ops read, and each stored array is drawn in one call."""
 
     DIMS = dict(d_model=12, heads=3, d_e=5, d_h=7, d_ff=10, n_blocks=2)
 
-    def test_initial_values_follow_the_per_head_draw_order(self, flight_tree):
-        """One seed, drawn slice by slice with each slice's own Glorot fans:
-        the label table; the forward cell's w_z, u_z, w_r, u_r, w_h, u_h,
-        then the backward cell's; the character table; per block, each
-        head's w_q, w_k, w_v, w_r, then w_o, ffn_w1, ffn_w2. Biases and
-        norms are constants."""
+    def test_initial_values_are_one_draw_per_stored_parameter(self, flight_tree):
+        """One seed, one draw per stored array in its stored shape, with the
+        Glorot fans of one head's or one gate's map: the label table; w as
+        (direction, gate, d_h, d_e), u_zr as (direction, gate, d_h, d_h),
+        u_h; the character table; per block w_qkv, w_r, w_o, ffn_w1,
+        ffn_w2. Biases and norms are constants."""
         model = toy_model(seed=17, trees=(flight_tree,), **self.DIMS)
         d_model, d_head, d_e, d_h, d_ff = 12, 4, 5, 7, 10
         rng = np.random.default_rng(17)
 
-        def draw(rows, cols):
-            return glorot_uniform(rng, rows, cols)
+        def draw(*shape):
+            s = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+            return rng.uniform(-s, s, size=shape)
 
         expected = {"rel.edge_embedding": draw(len(model.label_vocab), d_e)}
-        cells = [[draw(d_h, n) for _ in range(3) for n in (d_e, d_h)] for _ in range(2)]
-        expected["rel.w"] = np.array([np.concatenate(c[0::2]) for c in cells])
-        expected["rel.u_zr"] = np.array([np.concatenate(c[1:4:2]) for c in cells])
-        expected["rel.u_h"] = np.array([c[5] for c in cells])
+        expected["rel.w"] = draw(2, 3, d_h, d_e).reshape(2, 3 * d_h, d_e)
+        expected["rel.u_zr"] = draw(2, 2, d_h, d_h).reshape(2, 2 * d_h, d_h)
+        expected["rel.u_h"] = draw(2, d_h, d_h)
         expected["rel.b_zr"], expected["rel.b_h"] = np.zeros((2, 2 * d_h)), np.zeros((2, d_h))
         expected["enc.char_embedding"] = draw(len(model.char_vocab), d_model)
         for b in range(2):
-            heads = [[draw(d_head, d_model) for _ in range(3)] + [draw(2 * d_model, 2 * d_h)]
-                     for _ in range(3)]
             prefix = f"enc.block{b}."
-            expected[prefix + "w_qkv"] = np.array([[h[t] for h in heads] for t in range(3)])
-            expected[prefix + "w_r"] = np.array([h[3] for h in heads])
+            expected[prefix + "w_qkv"] = draw(3, 3, d_head, d_model)
+            expected[prefix + "w_r"] = draw(3, 2 * d_model, 2 * d_h)
             expected[prefix + "w_o"] = draw(d_model, d_model)
             expected[prefix + "ffn_w1"] = draw(d_ff, d_model)
             expected[prefix + "ffn_w2"] = draw(d_model, d_ff)
