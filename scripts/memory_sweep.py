@@ -9,7 +9,9 @@ about W². Each size builds the model and first runs one untimed warm-up
 step on the tree of min(W, 4) words, so that one-time set-up in the process
 is not timed. Each size then prints one JSON line:
 - n, W, U and L (the longest path) of the size-W tree;
-- `rss_before_mb`, ru_maxrss in MB after the warm-up;
+- `prepare_s`, the seconds of `model.prepare` on the size-W tree (its
+  character map and path table), to four decimals;
+- `rss_before_mb`, ru_maxrss in MB after the warm-up and that prepare;
 - `forward_s`, the seconds of one forward on the size-W tree (relation stage
   included), and with --train `backward_s`, the seconds of its backward;
 - `rss_after_mb`, ru_maxrss in MB after that step;
@@ -91,11 +93,14 @@ def measure(words: int, toy: bool, train: bool) -> dict:
     model = Model.create(config, [tree])
     # The warm-up tree's words are the first of the tree's own words.
     timed_step(model, model.prepare(random_tree(min(words, 4))), train)
+    began = time.perf_counter()
     sentence = model.prepare(tree)
+    prepare_s = round(time.perf_counter() - began, 4)
     table = sentence.char_map.table
     row = {
         "n": sentence.n_chars, "W": words, "U": len(table),
-        "L": int(table.length.max()), "rss_before_mb": round(max_rss_mb(), 1),
+        "L": int(table.length.max()), "prepare_s": prepare_s,
+        "rss_before_mb": round(max_rss_mb(), 1),
     }
     row.update(timed_step(model, sentence, train))
     row["rss_after_mb"] = round(max_rss_mb(), 1)

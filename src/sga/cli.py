@@ -138,12 +138,10 @@ def _write_attention_csv(path, chars, matrix) -> None:
 
 
 def cmd_encode(args) -> int:
-    if not args.params and not args.random_init:
-        raise ValueError("encode needs --params FILE or --random-init")
     config = _config_from_args(args)
     trees = _read_trees(args.input)
     model = Model.create(config, trees)
-    if args.params:
+    if args.params is not None:
         load_into(model.parameters(), args.params)
     # Every sentence is prepared before anything is written, so a bad one
     # leaves no partial output directory.
@@ -250,9 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="run the encoder, dump attention and embeddings")
     p.add_argument("input", help="CoNLL-U file")
-    p.add_argument("--params", default=None, help="parameter file (SGA1 binary)")
-    p.add_argument("--random-init", action="store_true",
-                   help="draw fresh parameters from the seed")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--params", default=None,
+                        help="parameter file (SGA1 binary); excludes --random-init")
+    source.add_argument("--random-init", action="store_true",
+                        help="draw fresh parameters from the seed; excludes --params")
     p.add_argument("--out-dir", default="out")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--zero-relations", action="store_true",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, StructureError
+from .errors import ParseError, StructureError, unify_newlines
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ def _finish_sentence(rows, sent_index: int, first_line: int) -> DependencyTree:
 def read_conllu(text: str) -> list[DependencyTree]:
     """Parse CoNLL-U text into one DependencyTree per sentence.
 
-    Sentences are blank-line separated; comment lines start with '#'.
+    Sentences are blank-line separated; comment lines start with '#'. Lines
+    end only at ``\\n``, ``\\r\\n`` or ``\\r``, not at U+2028 or U+0085.
     Token lines must carry 10 tab-separated columns with ASCII-integer ID and
     HEAD and a non-empty DEPREL other than the reserved ``self``. Errors name
     the offending line or sentence.
@@ -105,8 +106,7 @@ def read_conllu(text: str) -> list[DependencyTree]:
             trees.append(_finish_sentence(rows, len(trees) + 1, first_line))
             rows = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(unify_newlines(text).split("\n"), start=1):
         if not line.strip():
             finish()
             continue

@@ -131,27 +131,6 @@ class EncoderStackParams:
     char_embedding: Parameter  # (vocab, d_model)
     use_positions: bool
 
-    @classmethod
-    def create(
-        cls,
-        char_vocab_size: int,
-        d_model: int,
-        num_heads: int,
-        d_ff: int,
-        d_h: int,
-        n_blocks: int,
-        rng: np.random.Generator,
-        use_positions: bool = True,
-    ) -> "EncoderStackParams":
-        embedding = Parameter(
-            "enc.char_embedding", glorot_uniform(rng, char_vocab_size, d_model)
-        )
-        blocks = tuple(
-            EncoderBlockParams.create(f"enc.block{b}", d_model, num_heads, d_ff, d_h, rng)
-            for b in range(n_blocks)
-        )
-        return cls(blocks=blocks, char_embedding=embedding, use_positions=use_positions)
-
     @property
     def d_model(self) -> int:
         return self.char_embedding.data.shape[1]
@@ -283,9 +262,8 @@ def _multi_head_attention(
         E = relations.encodings.data
         U = E.shape[0]
         u = relations.pair_index
-        w_q, w_k = w_qkv[:2]
-        top, bottom = w_r[:, :d_model], w_r[:, d_model:]
-        maps = np.stack([w_q @ top, w_k @ bottom])  # (2, H, d_head, 2 d_h)
+        halves = w_r.reshape(H, 2, d_model, -1).swapaxes(0, 1)  # (2, H, d_model, 2 d_h)
+        maps = w_qkv[:2] @ halves  # Wq W_r,top and Wk W_r,bottom: (2, H, d_head, 2 d_h)
         map_rows = maps.reshape(2 * H * d_head, -1)
         # Rows of rel are paths: (U, 2, H, d_head) relation queries and keys,
         # so the projection and its two gradient products are single gemms.
@@ -333,17 +311,13 @@ def _multi_head_attention(
             d_rel = d_rel.reshape(U, -1)
             d_e = d_rel @ map_rows
             d_maps = (d_rel.T @ E).reshape(maps.shape)
-            d_w_r = np.concatenate(
-                [w_q.transpose(0, 2, 1) @ d_maps[0], w_k.transpose(0, 2, 1) @ d_maps[1]],
-                axis=1,
-            )
+            d_w_r = (w_qkv[:2].transpose(0, 1, 3, 2) @ d_maps).swapaxes(0, 1).reshape(w_r.shape)
         d_proj = d_qkv.transpose(2, 0, 1, 3).reshape(n, -1)
         d_w = (d_proj.T @ X).reshape(w_qkv.shape)
         d_x, d_w_o = d_proj @ w_rows, g.T @ heads_out
         if not with_relations:
             return d_x, d_w, d_w_o
-        d_w[0] += d_maps[0] @ top.transpose(0, 2, 1)
-        d_w[1] += d_maps[1] @ bottom.transpose(0, 2, 1)
+        d_w[:2] += d_maps @ halves.transpose(0, 1, 3, 2)
         return d_x, d_e, d_w, d_w_r, d_w_o
 
     if with_relations:

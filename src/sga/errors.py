@@ -13,12 +13,12 @@ def read_utf8(path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
+        line = unify_newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
         raise ValueError(f"{path}:{line}: not valid UTF-8") from None
-    return _newlines(text)
+    return unify_newlines(text)
 
 
-def _newlines(text: str) -> str:
+def unify_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -7,10 +7,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Parameter
+from .autodiff import Parameter, glorot_uniform
 from .config import PipelineConfig
 from .conllu import DependencyTree
-from .encoder import EncoderStackParams, encoder_forward
+from .encoder import EncoderBlockParams, EncoderStackParams, encoder_forward
 from .relation import LabelVocab, RelationEncoderParams, RelationTensor, encode_paths
 from .syntax_graph import CharRelationMap, build_syntax_graph, expand_to_characters
 
@@ -55,23 +55,17 @@ class Model:
         relation = RelationEncoderParams.create(
             len(label_vocab), config.d_e, config.d_h, rng
         )
-        stack = EncoderStackParams.create(
-            char_vocab_size=len(char_vocab),
-            d_model=config.d_model,
-            num_heads=config.heads,
-            d_ff=config.d_ff,
-            d_h=config.d_h,
-            n_blocks=config.n_blocks,
-            rng=rng,
-            use_positions=config.use_positions,
+        embedding = Parameter(
+            "enc.char_embedding", glorot_uniform(rng, len(char_vocab), config.d_model)
         )
-        return cls(
-            config=config,
-            char_vocab=char_vocab,
-            label_vocab=label_vocab,
-            relation=relation,
-            stack=stack,
+        blocks = tuple(
+            EncoderBlockParams.create(
+                f"enc.block{b}", config.d_model, config.heads, config.d_ff, config.d_h, rng
+            )
+            for b in range(config.n_blocks)
         )
+        stack = EncoderStackParams(blocks, embedding, config.use_positions)
+        return cls(config, char_vocab, label_vocab, relation, stack)
 
     def parameters(self) -> list[Parameter]:
         return self.relation.parameters() + self.stack.parameters()

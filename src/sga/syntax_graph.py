@@ -9,11 +9,13 @@ labels. A directed label is just that key string.
 In a tree, every prefix and every suffix of such a path is itself the path
 of another word pair of the same sentence: if path(i, j) ends with the edge
 k -> j its prefix is path(i, k), and if it starts with i -> h its suffix is
-path(h, j). So one breadth-first search per source word yields the distinct
-paths as integers -- last and first label, prefix id, suffix id, length --
-together with the word-pair table that sends each ordered pair to its path
-id. Ids run by length, so the paths of one length form one contiguous id
-range, the unit in which the relation stage steps them. A label is an id
+path(h, j). So one breadth-first search from every source word at once,
+level by level, yields the distinct paths as integers -- last and first
+label, prefix id, suffix id, length -- together with the word-pair table
+that sends each ordered pair to its path id. A path takes the next id when
+first reached, so ids run by length and the paths of one length form one
+contiguous id range, the unit in which the relation stage steps them; its
+suffix is one label shorter and so already numbered. A label is an id
 into the sentence's distinct directed labels, so the search hashes integers
 and a consumer looks each distinct label up once. The search reads the
 graph's edge list directly. `RelationPath` objects are rebuilt from that
@@ -123,16 +125,18 @@ class PathTable:
 
 
 def path_table(graph: SyntaxGraph) -> PathTable:
-    """The paths of all ordered word pairs, by one breadth-first search per
-    source word over the non-self edges; the source itself gets the self-loop.
+    """The paths of all ordered word pairs, by one breadth-first search from
+    every source word at once, level by level, over the non-self edges; each
+    source itself gets the self-loop.
 
     A word reached through the edge k -> j gets the id of (id of the path
     to k, label id), so each word pair costs one lookup and equal label
     sequences get equal ids. That pair is keyed as one integer,
     prefix id * len(alphabet) + label id, with prefix id -1 for a path of
-    one label. A new id records its first label, its length and the pair
-    (first hop, target) whose path it first was. The ids are then renumbered
-    by length, keeping search order within a length.
+    one label. A path first reached at depth L takes the next id, so ids run
+    by length, by source word and then search order within a length. Its
+    suffix is the path from the first hop to the target, which has length
+    L - 1 and so was numbered in the level before.
     """
     n = graph.n
     alphabet = tuple(dict.fromkeys(label for _, _, label in graph.edges))
@@ -143,44 +147,42 @@ def path_table(graph: SyntaxGraph) -> PathTable:
         if label != SELF:
             adjacent[u].append((v, label_id[label]))
     ids = {self_id - size: 0}  # key -> id; 0 is the self-loop
-    first, length, ends = [self_id], [1], [1, 1]  # ends: flat (first hop, target)
-    rows = []
+    first, suffix, length = [self_id], [-1], [1]
+    pair = [[-1] * (n + 1) for _ in range(n + 1)]  # pair[i][j]: id of path(i, j)
+    # (source, word, its path id * size, first hop); a source's own path has
+    # no labels to extend, so it stands as -size.
+    frontier = [(source, source, -size, 0) for source in range(1, n + 1)]
     for source in range(1, n + 1):
-        row = [-1] * (n + 1)  # path id of each word, from source
-        row[source] = 0
-        queue = [(source, -size, 0)]  # (word, its path id * size, first hop)
-        for node, base, hop in queue:
+        pair[source][source] = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        level = []
+        for source, node, base, hop in frontier:
+            row = pair[source]
             for nxt, label in adjacent[node]:
                 if row[nxt] < 0:
                     u = ids.get(base + label)
                     if u is None:
                         u = ids[base + label] = len(ids)
-                        via = base // size
-                        first.append(first[via] if via >= 0 else label)
-                        length.append(length[via] + 1 if via >= 0 else 1)
-                        ends += (hop or nxt, nxt)
+                        first.append(first[base // size] if hop else label)
+                        suffix.append(pair[hop][nxt] if hop else -1)
+                        length.append(depth)
                     row[nxt] = u
-                    queue.append((nxt, u * size, hop or nxt))
-        if len(queue) < n:
-            raise ValueError(f"no path from {source} to {row.index(-1, 1)}")
-        rows.append(row[1:])
-    pair = np.array(rows, dtype=np.int64)
+                    level.append((source, nxt, u * size, hop or nxt))
+        frontier = level
+    for source in range(1, n + 1):
+        if -1 in pair[source][1:]:
+            raise ValueError(f"no path from {source} to {pair[source].index(-1, 1)}")
     prefix, last = np.divmod(np.fromiter(ids, np.int64, len(ids)), size)
-    length = np.asarray(length, dtype=np.int64)
-    hop, target = np.reshape(ends, (-1, 2)).T
-    suffix = np.where(length > 1, pair[hop - 1, target - 1], -1)
-    # Renumber by length, stable in search order; -1 stays -1.
-    order = np.argsort(length, kind="stable")
-    renumber = np.full(len(order) + 1, -1, dtype=np.int64)
-    renumber[order] = np.arange(len(order))
     return PathTable(
         alphabet=alphabet,
-        first=np.asarray(first, dtype=np.int64)[order],
-        last=last[order],
-        prefix=renumber[prefix[order]],
-        suffix=renumber[suffix[order]],
-        length=length[order],
-        word_pair=renumber[pair],
+        first=np.asarray(first, dtype=np.int64),
+        last=last,
+        prefix=prefix,
+        suffix=np.asarray(suffix, dtype=np.int64),
+        length=np.asarray(length, dtype=np.int64),
+        word_pair=np.array([row[1:] for row in pair[1:]], dtype=np.int64),
     )
 
 

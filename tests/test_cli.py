@@ -103,6 +103,23 @@ class TestEncodeCommand:
         assert main(["encode", DOGS]) == 2
         assert "--random-init" in capsys.readouterr().err
 
+    def test_params_and_random_init_are_exclusive(self, tmp_path, capsys):
+        """A loaded file would replace the fresh draw, so the two parameter
+        sources are a usage error together."""
+        from sga.config import PipelineConfig
+        from sga.serialize import save_parameters
+
+        model = Model.create(PipelineConfig.toy(seed=3), read_conllu(Path(DOGS).read_text()))
+        params = tmp_path / "toy.sga"
+        save_parameters(params, model.parameters())
+        out = tmp_path / "enc"
+        argv = ["encode", DOGS, "--params", str(params), "--random-init", *TOY,
+                "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "not allowed with argument" in err
+        assert not out.exists()
+
     def test_attention_csv_count_at_defaults(self, tmp_path):
         out = tmp_path / "enc"
         code = main(

@@ -91,6 +91,25 @@ class TestReadConllu:
         with pytest.raises(StructureError, match="sentence 2"):
             read_conllu(text)
 
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, char):
+        """Characters that `str.splitlines` also splits at stay inside a
+        FORM or a comment."""
+        text = f"# text = a{char}b\n" + _line(1, f"a{char}b", 0, "root") + "\n"
+        (tree,) = read_conllu(text)
+        assert tree.forms == (f"a{char}b",)
+
+    def test_crlf_and_cr_line_ends(self):
+        """CRLF or CR text parses as its LF form does, errors on the same lines."""
+        bad = _line(1, "a", 0, "root") + "\n" + _line(2, "b", "_", "dep")
+        text = "# c\n" + TWO_TOKEN + "\n" + bad
+        for end in ("\r\n", "\r"):
+            assert read_conllu(TWO_TOKEN.replace("\n", end)) == read_conllu(TWO_TOKEN)
+            with pytest.raises(ParseError, match="line 6: missing HEAD"):
+                read_conllu(text.replace("\n", end))
+
 
 class TestRoundTrip:
     def test_fixture_columns_survive(self, flight_text, flight_tree):

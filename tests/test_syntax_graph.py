@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sga.conllu import DependencyTree, Edge
@@ -18,7 +18,7 @@ from sga.syntax_graph import (
     graph_to_json,
     path_table,
 )
-from sga.verify import flip, lca_walk, lca_walk_path, random_tree, tree_distance
+from sga.verify import LABEL_POOL, flip, lca_walk, lca_walk_path, random_tree, tree_distance
 
 TWO_WORD = DependencyTree(("Dogs", "bark"), (Edge(2, 1, "nsubj"),), 2)
 
@@ -223,12 +223,33 @@ class TestDistinctPaths:
                 assert char_path(cmap, ci, cj).key == oracle(wi, wj)
 
 
+def _forms(n):
+    return tuple(f"w{i}" for i in range(1, n + 1))
+
+
+# A 40-word chain, whose paths run up to 39 labels, two of each length (one
+# each way) beside the self-loop; a 40-word star, whose paths have at most
+# two labels; random trees of up to 30 words.
+CHAIN = DependencyTree(_forms(40), tuple(Edge(i, i + 1, "dep") for i in range(1, 40)), 1)
+STAR = DependencyTree(
+    _forms(40), tuple(Edge(1, j, LABEL_POOL[j % len(LABEL_POOL)]) for j in range(2, 41)), 1
+)
+
+
+def _random_tree(seed):
+    rng = np.random.default_rng(seed)
+    return random_tree(rng, int(rng.integers(1, 31)))
+
+
+RANDOM_TREES = st.integers(min_value=0, max_value=10_000).map(_random_tree)
+
+
 class TestPathTable:
-    @given(st.integers(min_value=0, max_value=10_000))
+    @given(RANDOM_TREES)
+    @example(CHAIN)
+    @example(STAR)
     @settings(max_examples=60, deadline=None)
-    def test_prefix_suffix_length_and_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        tree = random_tree(rng, int(rng.integers(1, 13)))
+    def test_prefix_suffix_length_and_oracle(self, tree):
         table = path_table(build_syntax_graph(tree))
         assert len(set(table.alphabet)) == len(table.alphabet)
         for u in range(len(table)):
@@ -251,13 +272,13 @@ class TestPathTable:
                 keys.add(path.key)
         assert len(keys) == len(table)
 
-    @given(st.integers(min_value=0, max_value=10_000))
+    @given(RANDOM_TREES)
+    @example(CHAIN)
+    @example(STAR)
     @settings(max_examples=30, deadline=None)
-    def test_ids_in_length_order(self, seed):
+    def test_ids_in_length_order(self, tree):
         """Ids run by length, and within a length by the source word whose
         search first reaches the path."""
-        rng = np.random.default_rng(seed)
-        tree = random_tree(rng, int(rng.integers(1, 13)))
         table = path_table(build_syntax_graph(tree))
         assert list(table.length) == sorted(table.length)
         source = [int(np.argwhere(table.word_pair == u)[0, 0]) for u in range(len(table))]
