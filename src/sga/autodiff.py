@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import fields
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -141,6 +142,14 @@ class Parameter(Tensor):
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite assignment to parameter {self.name!r}")
         np.copyto(self.data, arr)
+
+
+class ParameterGroup:
+    """Base of a dataclass whose fields are all Parameters: `parameters`
+    lists them in field order, so no hand-kept list can leave one out."""
+
+    def parameters(self) -> list[Parameter]:
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def lift(value) -> Tensor:

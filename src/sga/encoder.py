@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, add, glorot_uniform, softmax, take
+from .autodiff import Parameter, ParameterGroup, Tensor, add, glorot_uniform, softmax, take
 from .errors import CoverageError, ShapeError, VocabError
 from .relation import RelationTensor
 
@@ -71,7 +71,7 @@ class AttentionHeadParams:
 
 
 @dataclass
-class EncoderBlockParams:
+class EncoderBlockParams(ParameterGroup):
     w_qkv: Parameter  # (3, heads, d_head, d_model): query, key, value maps
     w_r: Parameter  # (heads, 2 * d_model, 2 * d_h)
     w_o: Parameter  # (d_model, d_model)
@@ -117,12 +117,6 @@ class EncoderBlockParams:
             ))
             for h in range(self.w_r.data.shape[0])
         )
-
-    def parameters(self) -> list[Parameter]:
-        return [
-            self.w_qkv, self.w_r, self.w_o, self.ffn_w1, self.ffn_b1, self.ffn_w2,
-            self.ffn_b2, self.norm1_gain, self.norm1_bias, self.norm2_gain, self.norm2_bias,
-        ]
 
 
 @dataclass

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autodiff import Parameter, Tensor, add, lift, matmul_rows, mul, sigmoid, sub, tanh
+from .autodiff import (
+    Parameter, ParameterGroup, Tensor, add, lift, matmul_rows, mul, sigmoid, sub, tanh,
+)
 from .errors import ShapeError
 
 
 @dataclass
-class GruCellParams:
+class GruCellParams(ParameterGroup):
     """Gate weights for one GRU cell (input x, recurrent u, bias b): one
     direction's slices of the relation encoder's stacked weights
     (`RelationEncoderParams.gru_fwd` and `gru_bwd`), copied on each read."""
@@ -37,11 +39,6 @@ class GruCellParams:
     w_h: Parameter
     u_h: Parameter
     b_h: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_z, self.u_z, self.b_z,
-                self.w_r, self.u_r, self.b_r,
-                self.w_h, self.u_h, self.b_h]
 
 
 def gru_cell_forward(params: GruCellParams, h_prev, x) -> Tensor:

@@ -11,7 +11,7 @@ from .autodiff import Parameter, glorot_uniform
 from .config import PipelineConfig
 from .conllu import DependencyTree
 from .encoder import EncoderBlockParams, EncoderStackParams, encoder_forward
-from .relation import LabelVocab, RelationEncoderParams, RelationTensor, encode_paths
+from .relation import RelationEncoderParams, RelationTensor, build_label_vocab, encode_paths
 from .syntax_graph import CharRelationMap, build_syntax_graph, expand_to_characters
 
 
@@ -42,15 +42,14 @@ class Model:
 
     config: PipelineConfig
     char_vocab: dict[str, int]
-    label_vocab: LabelVocab
+    label_vocab: dict[str, int]
     relation: RelationEncoderParams
     stack: EncoderStackParams
 
     @classmethod
     def create(cls, config: PipelineConfig, trees: Sequence[DependencyTree]) -> "Model":
         char_vocab = build_char_vocab(trees)
-        graphs = [build_syntax_graph(tree) for tree in trees]
-        label_vocab = LabelVocab.build(graphs)
+        label_vocab = build_label_vocab([build_syntax_graph(tree) for tree in trees])
         rng = np.random.default_rng(config.seed)
         relation = RelationEncoderParams.create(
             len(label_vocab), config.d_e, config.d_h, rng
@@ -91,11 +90,8 @@ class Model:
 
     def encode_relations(self, sentence: Sentence) -> RelationTensor:
         cmap = sentence.char_map
-        return RelationTensor(
-            encodings=encode_paths(cmap.table, self.relation, self.label_vocab),
-            pair_index=cmap.pair_index(),
-            char_map=cmap,
-        )
+        encodings = encode_paths(cmap.table, self.relation, self.label_vocab)
+        return RelationTensor(encodings, cmap.pair_index, cmap)
 
     def forward(
         self,

@@ -47,6 +47,7 @@ import numpy as np
 from .autodiff import (
     _TAPE,
     Parameter,
+    ParameterGroup,
     Tensor,
     glorot_uniform,
     logistic,
@@ -65,39 +66,18 @@ from .syntax_graph import (
 UNK_KEY = "<unk>"
 
 
-class LabelVocab:
-    """Dense index over directed edge labels, frozen after construction.
-
-    Labels are key strings (``nsubj:fwd``, ``nsubj:rev``). The self-loop
-    key ``self`` and an unknown-label fallback are always present, so
-    encoding is total even on labels never seen when it was built.
-    """
-
-    def __init__(self, keys: Sequence[str]):
-        ordered = [SELF, UNK_KEY]
-        ordered.extend(k for k in keys if k not in (SELF, UNK_KEY))
-        self._index = {key: i for i, key in enumerate(ordered)}
-        if len(self._index) != len(ordered):
-            raise ValueError("duplicate label keys")
-
-    @classmethod
-    def build(cls, graphs: Sequence[SyntaxGraph]) -> "LabelVocab":
-        if not graphs:
-            raise ValueError("cannot build a label vocabulary from no graphs")
-        return cls(sorted({label for g in graphs for _, _, label in g.edges}))
-
-    def __len__(self):
-        return len(self._index)
-
-    def index_of(self, label: str) -> int:
-        return self._index.get(label, self._index[UNK_KEY])
-
-    def keys(self) -> list[str]:
-        return sorted(self._index, key=self._index.get)
+def build_label_vocab(graphs: Sequence[SyntaxGraph]) -> dict[str, int]:
+    """Embedding row per directed label key: ``self`` row 0, ``<unk>`` row 1
+    (a label unseen here encodes as it, so encoding is total), then the
+    graphs' other keys (``nsubj:fwd``, ``nsubj:rev``) sorted."""
+    if not graphs:
+        raise ValueError("cannot build a label vocabulary from no graphs")
+    keys = sorted({label for g in graphs for _, _, label in g.edges} - {SELF})
+    return {key: i for i, key in enumerate([SELF, UNK_KEY, *keys])}
 
 
 @dataclass
-class RelationEncoderParams:
+class RelationEncoderParams(ParameterGroup):
     """Edge-label embeddings plus both path GRUs' weights, stacked on a
     leading direction axis (forward, backward) in the layout `encode_paths`
     reads: the input maps (w_z; w_r; w_h) in `w`, the z and r gates'
@@ -130,9 +110,6 @@ class RelationEncoderParams:
             u_h=Parameter("rel.u_h", glorot_uniform(rng, 2, d_h, d_h)),
             b_h=Parameter("rel.b_h", np.zeros((2, d_h))),
         )
-
-    def parameters(self) -> list[Parameter]:
-        return [self.edge_embedding, self.w, self.u_zr, self.b_zr, self.u_h, self.b_h]
 
     # Each direction's slices as a GRU cell for the oracles, copied on each
     # read, never cached: Adam rebinds p.data.
@@ -168,7 +145,7 @@ def gru_level(weights, h, x):
 
 
 def encode_paths(
-    paths: PathTable, params: RelationEncoderParams, vocab: LabelVocab
+    paths: PathTable, params: RelationEncoderParams, vocab: dict[str, int]
 ) -> Tensor:
     """Relation encodings of a sentence's distinct paths, one row per path
     id: (len(paths), 2 * d_h), as one autodiff op on the label table and
@@ -188,7 +165,7 @@ def encode_paths(
     table, w = params.edge_embedding.data, params.w.data
     u_zr, u_h = params.u_zr.data, params.u_h.data
     d, rows = u_h.shape[-1], len(paths)
-    ids = np.array([vocab.index_of(label) for label in paths.alphabet], dtype=np.int64)
+    ids = np.array([vocab.get(k, vocab[UNK_KEY]) for k in paths.alphabet], dtype=np.int64)
     ends = np.cumsum(np.bincount(paths.length)[1:])
     levels = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
     # (parent, direction) index pairs into the states, (direction, label) into x.

@@ -22,8 +22,9 @@ graph's edge list directly. `RelationPath` objects are rebuilt from that
 table only on request.
 Characters of one word share the word's paths, so a character pair reads
 the path of its two words. `expand_to_characters` builds a sentence's
-character map -- its characters, the word of each, and the path table --
-in one call; the spaces between words are not attention nodes.
+character map -- its characters, the word of each, the path table and the
+path id of every character pair -- in one call; the spaces between words
+are not attention nodes.
 
 Everything here is pure and immutable; safe for concurrent use.
 """
@@ -191,37 +192,36 @@ class CharRelationMap:
     """One sentence's attention nodes and the paths between them. `chars`
     are the words' characters in order, without separators, `word_of_char`
     the 1-based word of each, and `table` the sentence's path table; a
-    character pair reads the path of its word pair."""
+    character pair reads the path of its word pair, and `pair_index[a, b]`
+    is the path id of characters a and b, built once and read-only."""
 
     chars: str
     word_of_char: tuple[int, ...]
     table: PathTable
-
-    def pair_index(self) -> np.ndarray:
-        """(m, m) int64: the path id of every ordered character pair."""
-        chars = np.asarray(self.word_of_char, dtype=np.int64) - 1
-        return self.table.word_pair[chars[:, None], chars[None, :]]
+    pair_index: np.ndarray  # (m, m) int64
 
 
 def expand_to_characters(tree: DependencyTree) -> CharRelationMap:
     """Map every character of the words to its word and build the path
-    table of the tree's syntax graph. Raises on an empty tree or an empty
-    word form, whose word would own no character."""
+    table of the tree's syntax graph and the character pair index. Raises on
+    an empty tree or an empty word form, whose word would own no character."""
     if tree.n == 0:
         raise ValueError("cannot expand an empty tree")
     if "" in tree.forms:
         raise ValueError(f"word {tree.forms.index('') + 1} has an empty form")
     word_of_char = tuple(i for i, form in enumerate(tree.forms, start=1) for _ in form)
-    return CharRelationMap(
-        "".join(tree.forms), word_of_char, path_table(build_syntax_graph(tree))
-    )
+    table = path_table(build_syntax_graph(tree))
+    words = np.asarray(word_of_char, dtype=np.int64) - 1
+    pair_index = table.word_pair[words[:, None], words[None, :]]
+    pair_index.flags.writeable = False
+    return CharRelationMap("".join(tree.forms), word_of_char, table, pair_index)
 
 
 def distinct_paths(cmap: CharRelationMap) -> tuple[list[RelationPath], np.ndarray]:
     """The distinct paths, by id (shortest first), and the m x m table
     mapping each ordered character pair to its path index; rebuilding the
     map through the table reproduces it exactly."""
-    return cmap.table.paths(), cmap.pair_index()
+    return cmap.table.paths(), cmap.pair_index
 
 
 # ---------------------------------------------------------------------------

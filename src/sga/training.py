@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, backward, glorot_uniform, recording
+from .autodiff import Parameter, ParameterGroup, Tensor, backward, glorot_uniform, recording
 from .errors import NumericError, StateError
 from .pipeline import Model, Sentence
 
@@ -127,7 +127,7 @@ def pseudo_targets(sentence: Sentence, dim: int = DEFAULT_TARGET_DIM) -> np.ndar
 
 
 @dataclass
-class RegressionHead:
+class RegressionHead(ParameterGroup):
     w: Parameter
     b: Parameter
 
@@ -137,9 +137,6 @@ class RegressionHead:
             w=Parameter("head.w", glorot_uniform(rng, target_dim, d_model)),
             b=Parameter("head.b", np.zeros(target_dim)),
         )
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
 
     def loss(self, x: Tensor, targets: np.ndarray) -> Tensor:
         """Mean squared error of the prediction x w^T + b against targets,

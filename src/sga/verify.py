@@ -27,7 +27,7 @@ from .encoder import (
 from .gradcheck import check_gradient
 from .gru import gru_cell_forward
 from .pipeline import Model
-from .relation import LabelVocab
+from .relation import UNK_KEY
 from .syntax_graph import SELF, build_syntax_graph, path_table
 from .training import RegressionHead
 
@@ -168,14 +168,14 @@ def tree_distance(tree: DependencyTree, i: int, j: int) -> int:
     return 0 if i == j else len(lca_walk_path(tree, i, j))
 
 
-def lone_path_encoding(labels, table: Parameter, cells, vocab: LabelVocab) -> Tensor:
+def lone_path_encoding(labels, table: Parameter, cells, vocab: dict[str, int]) -> Tensor:
     """(1, 2 * d_h) relation encoding of one label sequence, stepped label by
     label at batch size 1 through the composed GRU cells over the label
     table. `cells` are a relation encoder's `gru_fwd` and `gru_bwd`, read
     once by the caller, since each read copies them. It shares neither the
     fused level op nor the path table with the relation encoder, so it is
     the naive side of the dedup check."""
-    ids = [vocab.index_of(label) for label in labels]
+    ids = [vocab.get(label, vocab[UNK_KEY]) for label in labels]
     if not ids:
         raise ValueError("cannot encode an empty path")
 

@@ -607,6 +607,26 @@ def closure_arrays(fn):
             stack.extend(item)
 
 
+class TestParameterList:
+    def test_every_parameter_field_is_listed_once(self, flight_tree):
+        """Every Parameter the relation encoder, the stack and each block
+        hold is in `model.parameters()` exactly once, so each is trained,
+        saved and gradient-checked; and no two parameters share a name."""
+        model = toy_model(seed=0, trees=(flight_tree,))
+        held = [
+            value
+            for owner in (model.relation, model.stack, *model.stack.blocks)
+            for value in vars(owner).values()
+            if isinstance(value, Parameter)
+        ]
+        params = model.parameters()
+        assert len(model.stack.blocks) == 2 and len(held) == 1 + 6 + 2 * 11
+        assert len(params) == len(held)
+        assert {id(p) for p in params} == {id(p) for p in held}
+        names = [p.name for p in params]
+        assert len(set(names)) == len(names)
+
+
 class TestStackedWeights:
     """The attention and GRU weights are stored stacked, in the layout the
     fused ops read, and each stored array is drawn in one call."""

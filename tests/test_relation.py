@@ -17,9 +17,10 @@ from sga.gradcheck import check_gradient
 from sga.gru import gru_cell_forward
 from sga.pipeline import Model
 from sga.relation import (
-    LabelVocab,
+    UNK_KEY,
     RelationEncoderParams,
     RelationTensor,
+    build_label_vocab,
     encode_paths,
 )
 from sga.syntax_graph import (
@@ -44,29 +45,63 @@ def chain(*labels):
 
 
 def relation_tensor(cmap, params, vocab):
-    return RelationTensor(encode_paths(cmap.table, params, vocab), cmap.pair_index(), cmap)
+    return RelationTensor(encode_paths(cmap.table, params, vocab), cmap.pair_index, cmap)
 
 
 class TestLabelVocab:
     def test_two_word_graph(self):
-        vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
-        assert len(vocab) == 4
-        assert vocab.keys() == ["self", "<unk>", "nsubj:fwd", "nsubj:rev"]
+        """Rows: ``self``, ``<unk>``, then the graph's keys sorted."""
+        vocab = build_label_vocab([build_syntax_graph(TWO_WORD)])
+        assert vocab == {SELF: 0, UNK_KEY: 1, "nsubj:fwd": 2, "nsubj:rev": 3}
+        assert list(vocab) == ["self", "<unk>", "nsubj:fwd", "nsubj:rev"]
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            LabelVocab.build([])
+            build_label_vocab([])
 
     def test_flight_fixture_size(self, flight_tree):
-        vocab = LabelVocab.build([build_syntax_graph(flight_tree)])
+        vocab = build_label_vocab([build_syntax_graph(flight_tree)])
         base_labels = {e.label for e in flight_tree.edges}
         assert len(base_labels) == 7
         assert len(vocab) == 2 + 2 * len(base_labels) == 16
+        assert list(vocab.values()) == list(range(16))
+        assert list(vocab)[2:] == sorted(list(vocab)[2:])
 
     def test_unseen_label_maps_to_unk(self):
-        vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
-        assert vocab.index_of("xcomp:fwd") == 1
-        assert vocab.index_of(SELF) == 0
+        """A label the model never saw is read from the ``<unk>`` row, in
+        both `encode_paths` and the dedup check's `lone_path_encoding`: the
+        unseen tree encodes exactly as with another unseen label, the lone
+        path encodes exactly as with the label spelled ``<unk>``, and moving
+        that row alone moves the unseen tree's encodings but not the seen
+        tree's."""
+        seen, unseen, other = chain("nsubj", "obj"), chain("nsubj", "xcomp"), chain("nsubj", "ccomp")
+        model = Model.create(PipelineConfig.toy(seed=0), [seen])
+        vocab, params = model.label_vocab, model.relation
+        assert vocab[UNK_KEY] == 1
+        assert "xcomp:fwd" not in vocab and "ccomp:fwd" not in vocab
+        sentences = [model.prepare(tree) for tree in (seen, unseen, other)]
+
+        def encode():
+            rels = [model.encode_relations(s) for s in sentences]
+            row = rels[1].char_map.table.word_pair[0, 2]
+            cells = (params.gru_fwd, params.gru_bwd)
+            lone = lone_path_encoding(("nsubj:fwd", "xcomp:fwd"), params.edge_embedding, cells, vocab)
+            as_unk = lone_path_encoding(("nsubj:fwd", UNK_KEY), params.edge_embedding, cells, vocab)
+            assert np.array_equal(lone.data, as_unk.data)
+            np.testing.assert_allclose(lone.data[0], rels[1].encodings.data[row], rtol=0, atol=1e-12)
+            return [rel.encodings.data for rel in rels] + [lone.data]
+
+        seen_rel, unseen_rel, other_rel, lone = encode()
+        assert np.array_equal(unseen_rel, other_rel)
+        assert not np.array_equal(unseen_rel, seen_rel)
+
+        moved = params.edge_embedding.data.copy()
+        moved[vocab[UNK_KEY]] += 1.0
+        params.edge_embedding.assign(moved)
+        seen_after, unseen_after, _, lone_after = encode()
+        assert np.array_equal(seen_after, seen_rel)
+        assert not np.array_equal(unseen_after, unseen_rel)
+        assert not np.array_equal(lone_after, lone)
 
 
 def numpy_bigru(path_ids, params):
@@ -96,7 +131,7 @@ class TestEncodePath:
         rng = np.random.default_rng(0)
         tree = chain("nsubj", "obj", "det")
         cmap = expand_to_characters(tree)
-        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        vocab = build_label_vocab([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=5, rng=rng)
         for p in params.parameters()[1:]:
             p.assign(np.zeros_like(p.data))
@@ -125,7 +160,7 @@ class TestEncodePath:
         z = sigma(values["w_z"] * e + values["b_z"])
         expected = z * math.tanh(values["w_h"] * e + values["b_h"])
 
-        vocab = LabelVocab.build([build_syntax_graph(TWO_WORD)])
+        vocab = build_label_vocab([build_syntax_graph(TWO_WORD)])
         table = expand_to_characters(TWO_WORD).table
         assert list(table.length) == [1, 1, 1]
         out = encode_paths(table, params, vocab)
@@ -135,7 +170,7 @@ class TestEncodePath:
     def test_order_sensitivity(self, seed):
         rng = np.random.default_rng(seed)
         tree = chain("a", "b", "a")
-        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        vocab = build_label_vocab([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=4, d_h=4, rng=rng)
         table = expand_to_characters(tree).table
         out = encode_paths(table, params, vocab).data
@@ -153,7 +188,7 @@ class TestEncodePath:
             4,
         )
         rng = np.random.default_rng(5)
-        vocab = LabelVocab.build([build_syntax_graph(one), build_syntax_graph(two)])
+        vocab = build_label_vocab([build_syntax_graph(one), build_syntax_graph(two)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=3, rng=rng)
         rows = []
         for tree, (i, j) in ((one, (1, 3)), (two, (2, 5))):
@@ -164,7 +199,7 @@ class TestEncodePath:
 
     def test_empty_path_rejected(self):
         params = RelationEncoderParams.create(3, 2, 2, np.random.default_rng(0))
-        vocab = LabelVocab([])
+        vocab = build_label_vocab([build_syntax_graph(TWO_WORD)])
         with pytest.raises(ValueError, match="empty path"):
             lone_path_encoding((), params.edge_embedding, (params.gru_fwd, params.gru_bwd), vocab)
 
@@ -173,7 +208,7 @@ class TestEncodePath:
         tree = DependencyTree(
             ("a", "b", "c", "d"), (Edge(2, 1, "a"), Edge(2, 3, "b"), Edge(3, 4, "a")), 2
         )
-        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        vocab = build_label_vocab([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=3, rng=rng)
         table = expand_to_characters(tree).table
         assert table.path(1, 4).key == ("a:rev", "b:fwd", "a:fwd")
@@ -190,7 +225,7 @@ class TestEncodePath:
         the pair's lowest-common-ancestor walk."""
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, 10)
-        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        vocab = build_label_vocab([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=3, d_h=4, rng=rng)
         for p in params.parameters():
             p.assign(rng.standard_normal(p.data.shape))
@@ -198,7 +233,7 @@ class TestEncodePath:
         out = encode_paths(table, params, vocab)
         for i in range(1, tree.n + 1):
             for j in range(1, tree.n + 1):
-                ids = [vocab.index_of(label) for label in lca_walk_path(tree, i, j)]
+                ids = [vocab[label] for label in lca_walk_path(tree, i, j)]
                 row = out.data[table.word_pair[i - 1, j - 1]]
                 np.testing.assert_allclose(row, numpy_bigru(ids, params), rtol=0, atol=1e-12)
 
@@ -222,7 +257,7 @@ class TestEncodePath:
         monkeypatch.setattr(relation, "gru_level", counting)
         rel = model.encode_relations(sentence)
         vocab = model.label_vocab
-        ids = [tuple(vocab.index_of(label) for label in p.key) for p in rel.paths]
+        ids = [tuple(vocab[label] for label in p.key) for p in rel.paths]
         prefixes = {seq[:k] for seq in ids for k in range(1, len(seq) + 1)}
         suffixes = {seq[k:] for seq in ids for k in range(len(seq))}
         longest = max(map(len, ids))
@@ -261,7 +296,7 @@ def composed_encoding(paths, params, vocab, cells):
     `gru_cell_forward` per path length and direction on the level tensors,
     the final rows gathered through the stacked levels. `cells` are the
     forward and backward cells, which take the weights' gradients."""
-    ids = np.array([vocab.index_of(label) for label in paths.alphabet])
+    ids = np.array([vocab[label] for label in paths.alphabet])
     last, first = ids[paths.last], ids[paths.first]
     order = np.argsort(paths.length, kind="stable")
     levels = np.split(order, np.cumsum(np.bincount(paths.length)[1:])[:-1])
@@ -291,12 +326,12 @@ class TestFusedLevels:
         cell weight's against its slice of the stacked gradients."""
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, 12)
-        vocab = LabelVocab.build([build_syntax_graph(tree)])
+        vocab = build_label_vocab([build_syntax_graph(tree)])
         params = RelationEncoderParams.create(len(vocab), d_e=d_e, d_h=d_h, rng=rng)
         for p in params.parameters():
             p.assign(0.5 * rng.standard_normal(p.data.shape))
         table = expand_to_characters(tree).table
-        alphabet_ids = np.array([vocab.index_of(label) for label in table.alphabet])
+        alphabet_ids = np.array([vocab[label] for label in table.alphabet])
         for labels, parent in ((table.last, table.prefix), (table.first, table.suffix)):
             ids = alphabet_ids[labels]
             depths = [set(ids[table.length == d]) for d in range(1, max(table.length) + 1)]
@@ -420,7 +455,7 @@ class TestDistinctBatch:
         assert len(unique) <= 64 < 37 * 37
         rng = np.random.default_rng(2)
         params = RelationEncoderParams.create(16, 3, 3, rng)
-        vocab = LabelVocab.build([graph])
+        vocab = build_label_vocab([graph])
         encoded = encode_paths(cmap.table, params, vocab)
         assert encoded.shape == (len(unique), 6)
 
@@ -429,7 +464,7 @@ class TestDistinctBatch:
         cmap = expand_to_characters(flight_tree)
         rng = np.random.default_rng(3)
         params = RelationEncoderParams.create(16, 3, 3, rng)
-        vocab = LabelVocab.build([graph])
+        vocab = build_label_vocab([graph])
         rel = relation_tensor(cmap, params, vocab)
         scattered = rel.encodings.data[rel.pair_index]
         m = len(cmap.word_of_char)
@@ -450,11 +485,24 @@ class TestRelationTensor:
         model.forward(model.prepare(flight_tree))
         assert built == []
 
+    def test_pair_index_built_once_and_read_only(self, flight_tree):
+        """Prepare builds the character pair index once and every forward
+        reads that array; an in-place write to it raises."""
+        model = Model.create(PipelineConfig.toy(seed=0), [flight_tree])
+        sentence = model.prepare(flight_tree)
+        rel = model.encode_relations(sentence)
+        assert rel.pair_index is sentence.char_map.pair_index
+        assert distinct_paths(sentence.char_map)[1] is sentence.char_map.pair_index
+        with pytest.raises(ValueError, match="read-only"):
+            rel.pair_index[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            sentence.char_map.pair_index[...] = 0
+
     def test_zeroed_keeps_structure(self, flight_tree):
         graph = build_syntax_graph(flight_tree)
         cmap = expand_to_characters(flight_tree)
         params = RelationEncoderParams.create(16, 3, 4, np.random.default_rng(7))
-        vocab = LabelVocab.build([graph])
+        vocab = build_label_vocab([graph])
         rel = relation_tensor(cmap, params, vocab)
         zeroed = rel.zeroed()
         assert np.array_equal(zeroed.pair_index, rel.pair_index)
@@ -464,7 +512,7 @@ class TestRelationTensor:
         graph = build_syntax_graph(flight_tree)
         cmap = expand_to_characters(flight_tree)
         params = RelationEncoderParams.create(16, 3, 4, np.random.default_rng(8))
-        vocab = LabelVocab.build([graph])
+        vocab = build_label_vocab([graph])
         rel = relation_tensor(cmap, params, vocab)
         rel.pair_index = rel.pair_index.copy()
         rel.pair_index[0, 0] = -1

@@ -153,7 +153,7 @@ class TestCharacterExpansion:
         tree = DependencyTree(("ab", "c"), (Edge(1, 2, "dep"),), 1)
         cmap = expand_to_characters(tree)
         # chars: a(0) b(1) of word 1, c(2) of word 2
-        pairs = cmap.pair_index()
+        pairs = cmap.pair_index
         assert pairs[0, 2] == pairs[1, 2]
         assert char_path(cmap, 0, 2).key == char_path(cmap, 1, 2).key
 
@@ -162,7 +162,7 @@ class TestCharacterExpansion:
         assert len(cmap.word_of_char) == 37
         assert cmap.table.word_pair.shape == (8, 8)
         assert np.all(cmap.table.word_pair >= 0)
-        assert cmap.pair_index().shape == (37, 37)
+        assert cmap.pair_index.shape == (37, 37)
 
     def test_empty_word_form_rejected(self):
         """A word with no characters would be a graph node that no
@@ -181,7 +181,7 @@ class TestCharacterExpansion:
         by_word = {}
         for pos, word in enumerate(cmap.word_of_char):
             by_word.setdefault(word, []).append(pos)
-        pairs = cmap.pair_index()
+        pairs = cmap.pair_index
         for positions in by_word.values():
             first = char_path(cmap, positions[0], target)
             for pos in positions[1:]:
